@@ -36,14 +36,18 @@ fresh one exists: ``bit_identical`` false is an unconditional failure
 ``batched_events_per_sec`` obeys the same one-sided throughput floor
 against ``baselines/BENCH_kernel_batched.json``.
 
-The callback process mode is gated through ``BENCH_process_modes.json``
-when a fresh one exists: ``bit_identical`` false is an unconditional
-failure (the callback state machines diverged from the generator
-reference — a correctness bug, never re-baseline it away), the
-*committed baseline's* ``callback_speedup_ratio`` must hold the
-``process_modes_speedup_floor`` (1.5x — the floor is a property of the
-committed code, so a noisy CI runner cannot flake it), and the fresh
-speedup obeys the ordinary one-sided tolerance against that baseline.
+The §5 model is gated through ``BENCH_model_events.json`` when a fresh
+one exists, against the committed callback-mode baseline
+``baselines/BENCH_process_modes.json`` — the bar the one request path
+replaced, and must keep holding:
+
+* ``golden_mismatches`` above zero is an unconditional failure (a
+  golden SimResult changed — a correctness bug, never re-baseline it);
+* ``fig3_events`` / ``fig5_events`` above the committed
+  ``fig3_callback_events`` / ``fig5_callback_events`` fail (event counts
+  are deterministic, so this bound is exact);
+* ``fig5_events_per_sec`` more than the threshold below the committed
+  ``fig5_callback_events_per_sec`` fails.
 
 Thresholds live in ``benchmarks/baselines/thresholds.json`` — committed
 next to the baselines they guard, so tolerance changes are reviewed
@@ -53,7 +57,7 @@ Usage::
 
     python benchmarks/check_regression.py [--threshold 0.20]
         [--sanitizer-threshold 1.5] [--hermeticity-threshold 1.5]
-        [--hb-threshold 6.0] [--process-modes-floor 1.5]
+        [--hb-threshold 6.0]
 """
 
 from __future__ import annotations
@@ -69,8 +73,8 @@ FRESH = BENCH_DIR / "results" / "BENCH_kernel_events.json"
 SWEEP_FRESH = BENCH_DIR / "results" / "BENCH_sweep_parallel.json"
 BATCHED_BASELINE = BENCH_DIR / "baselines" / "BENCH_kernel_batched.json"
 BATCHED_FRESH = BENCH_DIR / "results" / "BENCH_kernel_batched.json"
-MODES_BASELINE = BENCH_DIR / "baselines" / "BENCH_process_modes.json"
-MODES_FRESH = BENCH_DIR / "results" / "BENCH_process_modes.json"
+MODEL_BASELINE = BENCH_DIR / "baselines" / "BENCH_process_modes.json"
+MODEL_FRESH = BENCH_DIR / "results" / "BENCH_model_events.json"
 THRESHOLDS = BENCH_DIR / "baselines" / "thresholds.json"
 
 #: Built-in fallbacks, used only if thresholds.json is absent.
@@ -79,7 +83,6 @@ DEFAULT_THRESHOLDS = {
     "sanitizer_threshold": 1.5,
     "hermeticity_threshold": 1.5,
     "hb_threshold": 6.0,
-    "process_modes_speedup_floor": 1.5,
 }
 
 #: Metrics gated, with direction: events/sec must not drop.
@@ -98,8 +101,10 @@ HB_METRIC = "race_detector_overhead_ratio"
 #: Cohort-dispatch gate on the batched benchmark.
 BATCHED_METRIC = "batched_events_per_sec"
 
-#: Callback-mode gate on the process-modes benchmark.
-MODES_METRIC = "callback_speedup_ratio"
+#: Model gates: fresh key -> committed callback-mode key it may not exceed.
+MODEL_EVENT_CEILINGS = {"fig3_events": "fig3_callback_events",
+                        "fig5_events": "fig5_callback_events"}
+MODEL_RATE_METRIC = ("fig5_events_per_sec", "fig5_callback_events_per_sec")
 
 
 def load_thresholds(path: Path) -> dict:
@@ -133,10 +138,6 @@ def main(argv=None) -> int:
                         help="maximum tolerated race-detector overhead "
                              "ratio in the fresh run "
                              "(default from thresholds.json: 6.0x)")
-    parser.add_argument("--process-modes-floor", type=float, default=None,
-                        help="minimum callback-mode speedup the committed "
-                             "BENCH_process_modes.json baseline must hold "
-                             "(default from thresholds.json: 1.5x)")
     parser.add_argument("--thresholds", type=Path, default=THRESHOLDS,
                         help="committed threshold defaults "
                              "(benchmarks/baselines/thresholds.json)")
@@ -146,9 +147,9 @@ def main(argv=None) -> int:
     parser.add_argument("--batched-baseline", type=Path,
                         default=BATCHED_BASELINE)
     parser.add_argument("--batched-fresh", type=Path, default=BATCHED_FRESH)
-    parser.add_argument("--modes-baseline", type=Path,
-                        default=MODES_BASELINE)
-    parser.add_argument("--modes-fresh", type=Path, default=MODES_FRESH)
+    parser.add_argument("--model-baseline", type=Path,
+                        default=MODEL_BASELINE)
+    parser.add_argument("--model-fresh", type=Path, default=MODEL_FRESH)
     options = parser.parse_args(argv)
 
     committed = load_thresholds(options.thresholds)
@@ -160,8 +161,6 @@ def main(argv=None) -> int:
         options.hermeticity_threshold = committed["hermeticity_threshold"]
     if options.hb_threshold is None:
         options.hb_threshold = committed["hb_threshold"]
-    if options.process_modes_floor is None:
-        options.process_modes_floor = committed["process_modes_speedup_floor"]
 
     if not options.baseline.exists():
         print(f"regression gate: no baseline at {options.baseline}; "
@@ -242,44 +241,38 @@ def main(argv=None) -> int:
                       "BENCH_kernel_batched.json.", file=sys.stderr)
                 return 1
 
-    if options.modes_fresh.exists():
-        modes = json.loads(options.modes_fresh.read_text())
-        if not modes.get("bit_identical", True):
-            print("regression gate: FAIL — the callback process mode is no "
-                  "longer bit-identical to the generator reference "
-                  "(BENCH_process_modes.json: bit_identical false).  This "
-                  "is a correctness bug, not a performance regression; do "
-                  "not re-baseline.", file=sys.stderr)
+    if options.model_fresh.exists():
+        model = json.loads(options.model_fresh.read_text())
+        if model["golden_mismatches"]:
+            print(f"regression gate: FAIL — {model['golden_mismatches']} "
+                  "golden SimResult(s) changed (BENCH_model_events.json: "
+                  "golden_mismatches).  This is a correctness bug, not a "
+                  "performance regression; do not re-baseline.",
+                  file=sys.stderr)
             return 1
-        if options.modes_baseline.exists():
-            modes_reference = json.loads(options.modes_baseline.read_text())
-            reference = modes_reference[MODES_METRIC]
-            # The >=1.5x floor binds the *committed* baseline: it pins
-            # what the committed code achieved on a quiet machine, so a
-            # noisy CI runner cannot flake it, and a de-optimisation
-            # cannot be laundered in by re-baselining below the floor.
-            print(f"regression gate: {MODES_METRIC} committed baseline "
-                  f"x{reference:.2f} (floor "
-                  f"x{options.process_modes_floor:.2f})")
-            if reference < options.process_modes_floor:
-                print(f"regression gate: FAIL — the committed callback-mode "
-                      f"baseline speedup x{reference:.2f} is below the "
-                      f"x{options.process_modes_floor:.2f} floor.  Restore "
-                      "the fast path (or re-baseline only with a speedup "
-                      "that holds the floor).", file=sys.stderr)
-                return 1
-            measured = modes[MODES_METRIC]
-            ratio = measured / reference
-            print(f"regression gate: {MODES_METRIC} fresh x{measured:.2f} "
-                  f"({ratio:.2f}x of baseline, floor {floor:.2f}x)")
+        if options.model_baseline.exists():
+            bar = json.loads(options.model_baseline.read_text())
+            for key, bar_key in MODEL_EVENT_CEILINGS.items():
+                print(f"regression gate: {key} {model[key]:,} "
+                      f"(ceiling {bar[bar_key]:,}, committed callback mode)")
+                if model[key] > bar[bar_key]:
+                    print(f"regression gate: FAIL — {key} rose above the "
+                          f"committed callback-mode count {bar[bar_key]:,}.  "
+                          "An event saver (token grant, immediate start, "
+                          "inline completion, span coalescing) stopped "
+                          "firing; see docs/PERFORMANCE.md.", file=sys.stderr)
+                    return 1
+            key, bar_key = MODEL_RATE_METRIC
+            ratio = model[key] / bar[bar_key]
+            print(f"regression gate: {key} baseline {bar[bar_key]:,.0f}, "
+                  f"measured {model[key]:,.0f} ({ratio:.2f}x of baseline, "
+                  f"floor {floor:.2f}x)")
             if ratio < floor:
-                print(f"regression gate: FAIL — the callback-mode speedup "
+                print(f"regression gate: FAIL — fig5 model throughput "
                       f"dropped {(1.0 - ratio) * 100.0:.1f}% below the "
-                      f"committed baseline "
-                      f"(> {options.threshold * 100:.0f}% allowed).  If "
-                      "intentional, re-baseline benchmarks/baselines/"
-                      "BENCH_process_modes.json (the committed speedup "
-                      "must still hold the floor).", file=sys.stderr)
+                      f"committed callback-mode rate "
+                      f"(> {options.threshold * 100:.0f}% allowed).",
+                      file=sys.stderr)
                 return 1
 
     if options.sweep_fresh.exists():

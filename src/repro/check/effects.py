@@ -691,9 +691,9 @@ class _FunctionAnalyzer:
             elif isinstance(node.value, ast.Name) and \
                     node.value.id == "self" and self.info.class_name:
                 # A bare read of `self.<method>` is a method reference
-                # that escapes — callback registration (state machines
-                # append bound state methods to event callback lists) or
-                # a bound-method cache (`self._bound_step = self._step`).
+                # that escapes — callback registration (processes
+                # append bound resume methods to event callback lists) or
+                # a bound-method cache (`self._bound_resume = self._resume`).
                 # Assume the reference is eventually called.
                 resolved = self._method_in_chain(self.info.class_name,
                                                  node.attr)

@@ -45,14 +45,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
 
-from ..des.callback import CallbackProcess
 from ..des.process import Process
-
-#: What counts as "a process" for segment bookkeeping: generator
-#: processes and callback-mode state machines both own vector-clock
-#: entries — a bound state method's ``__self__`` identifies its machine
-#: exactly as a generator resume callback identifies its Process.
-_PROCESS_TYPES = (Process, CallbackProcess)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..des.engine import Environment
@@ -287,7 +280,9 @@ class RaceDetector:
             return self._current
         pid = self._pid(process)
         own = self._clocks.get(pid)
-        if own is None:  # pragma: no cover - defensive (resume seeds it)
+        if own is None:
+            # The first segment of an immediately started process runs
+            # before any resume could seed its clock.
             own = self._clocks[pid] = {pid: 1}
         return ((own, pid, own[pid]),)
 
@@ -325,7 +320,7 @@ class RaceDetector:
         self._current = stamp
         for callback in (event.callbacks or ()):
             process = getattr(callback, "__self__", None)
-            if isinstance(process, _PROCESS_TYPES):
+            if isinstance(process, Process):
                 pid = self._pid(process)
                 own = self._clocks.get(pid)
                 if own is None:

@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from ..des import CallbackProcess, Environment
+from ..des import Environment
 from ..simnet import Address, DatagramSocket, Host
 from .agent_protocol import (
     CloseReply,
@@ -222,7 +222,7 @@ class DistributionAgent:
             request_id=next(_request_ids),
         )
         for _ in range(self.max_retries):
-            yield channel.socket.send_op(
+            yield from channel.socket.send(
                 channel.control_address, message=request,
                 payload_size=wire_size(request))
             self.stats.packets_sent += 1
@@ -252,7 +252,7 @@ class DistributionAgent:
             if channel.failed or channel.handle < 0:
                 continue
             request = CloseRequest(handle=channel.handle)
-            yield channel.socket.send_op(
+            yield from channel.socket.send(
                 channel.data_address, message=request,
                 payload_size=wire_size(request))
             self.stats.packets_sent += 1
@@ -351,7 +351,7 @@ class DistributionAgent:
             lambda d: isinstance(d.message, DataPacket)
             and d.message.seq < request.seq)
         for attempt in range(self.max_retries):
-            yield channel.socket.send_op(
+            yield from channel.socket.send(
                 channel.data_address, message=request,
                 payload_size=wire_size(request))
             self.stats.packets_sent += 1
@@ -580,12 +580,12 @@ class DistributionAgent:
         request = WriteRequest(
             handle=channel.handle, op_id=op_id, offset=region_offset,
             length=len(payload), packet_size=self.packet_size)
-        yield channel.socket.send_op(
+        yield from channel.socket.send(
             channel.data_address, message=request,
             payload_size=wire_size(request))
         self.stats.packets_sent += 1
-        yield self._stream_packets(channel, request, payload,
-                                   range(request.expected_packets), op)
+        yield from self._stream_packets(channel, request, payload,
+                                        range(request.expected_packets), op)
 
         for _ in range(self.max_retries):
             datagram = yield from channel.socket.recv_wait(
@@ -595,7 +595,7 @@ class DistributionAgent:
             if datagram is None:
                 self.stats.ack_timeouts += 1
                 # Status query: re-send the announcement.
-                yield channel.socket.send_op(
+                yield from channel.socket.send(
                     channel.data_address, message=request,
                     payload_size=wire_size(request))
                 self.stats.packets_sent += 1
@@ -606,21 +606,31 @@ class DistributionAgent:
                 return
             self.stats.naks_received += 1
             self.stats.write_retransmits += len(message.missing)
-            yield self._stream_packets(channel, request, payload,
-                                       message.missing, op)
+            yield from self._stream_packets(channel, request, payload,
+                                            message.missing, op)
         channel.failed = True
         raise TransferError(
             f"agent {channel.agent_host} never acknowledged write op {op_id}")
 
     def _stream_packets(self, channel: _Channel, request: WriteRequest,
-                        payload: bytes, indices,
-                        op: Optional[str] = None) -> "_StreamPackets":
+                        payload: bytes, indices, op: Optional[str] = None):
         """Send the numbered packets 'as fast as it can' (§3.1), separated
-        by the prototype's small wait loop when configured.
-
-        Returns a started callback pump (yieldable event); this is the
-        write path's hottest loop, dispatched without a generator."""
-        return _StreamPackets(self, channel, request, payload, indices, op)
+        by the prototype's small wait loop when configured."""
+        size = self.packet_size
+        for index in indices:
+            start = index * size
+            piece = payload[start:start + size]
+            packet = WriteData(handle=channel.handle, op_id=request.op_id,
+                               index=index, offset=request.offset + start,
+                               payload=piece)
+            self._emit(op, "wire-data", agent=channel.index, index=index,
+                       payload_bytes=len(piece))
+            yield from channel.socket.send(
+                channel.data_address, message=packet,
+                payload_size=wire_size(packet))
+            self.stats.packets_sent += 1
+            if self.interpacket_gap_s:
+                yield self.env.timeout(self.interpacket_gap_s)
 
     # -- health probing -------------------------------------------------------------------
 
@@ -641,7 +651,7 @@ class DistributionAgent:
             for _ in range(attempts):
                 request = StatRequest(file_name=self.object_name,
                                       request_id=next(_request_ids))
-                yield channel.socket.send_op(
+                yield from channel.socket.send(
                     channel.control_address, message=request,
                     payload_size=wire_size(request))
                 self.stats.packets_sent += 1
@@ -718,65 +728,3 @@ class DistributionAgent:
 
 class SwiftUsageError(RuntimeError):
     """Library misuse (calling read/write before open)."""
-
-
-class _StreamPackets(CallbackProcess):
-    """Callback pump for :meth:`DistributionAgent._stream_packets`.
-
-    Packet for packet the generator's sequence: slice the payload view,
-    build the :class:`WriteData`, emit the ledger record, send, count,
-    then the optional inter-packet gap.  Started immediately, so the
-    first packet's send-cost draw lands exactly where the inline
-    ``yield from`` used to execute.
-    """
-
-    __slots__ = ("dist", "channel", "request", "payload", "indices",
-                 "op", "_pos")
-
-    def __init__(self, dist: DistributionAgent, channel: _Channel,
-                 request: WriteRequest, payload: bytes, indices,
-                 op: Optional[str]):
-        self.dist = dist
-        self.channel = channel
-        self.request = request
-        self.payload = payload
-        self.indices = list(indices)
-        self.op = op
-        self._pos = 0
-        super().__init__(dist.env, immediate=True)
-
-    def _start(self, value):
-        self._next_packet()
-
-    def _next_packet(self):
-        if self._pos >= len(self.indices):
-            self._finish()
-            return
-        dist = self.dist
-        channel = self.channel
-        request = self.request
-        index = self.indices[self._pos]
-        start = index * dist.packet_size
-        piece = self.payload[start:start + dist.packet_size]
-        packet = WriteData(handle=channel.handle, op_id=request.op_id,
-                           index=index, offset=request.offset + start,
-                           payload=piece)
-        dist._emit(self.op, "wire-data", agent=channel.index, index=index,
-                   payload_bytes=len(piece))
-        self.wait(channel.socket.send_op(channel.data_address,
-                                         message=packet,
-                                         payload_size=wire_size(packet)),
-                  self._sent)
-
-    def _sent(self, value):
-        dist = self.dist
-        dist.stats.packets_sent += 1
-        self._pos += 1
-        if dist.interpacket_gap_s:
-            # The generator pauses after *every* packet, the last included.
-            self.wait_timeout(dist.interpacket_gap_s, self._gap_done)
-            return
-        self._next_packet()
-
-    def _gap_done(self, value):
-        self._next_packet()

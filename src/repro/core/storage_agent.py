@@ -230,8 +230,8 @@ class _FileHandler:
     # -- plumbing ----------------------------------------------------------------
 
     def _reply(self, message):
-        yield self.socket.send_op(self.client, message=message,
-                                  payload_size=wire_size(message))
+        yield from self.socket.send(self.client, message=message,
+                                    payload_size=wire_size(message))
 
     def _teardown(self) -> None:
         self.open = False
@@ -316,8 +316,8 @@ class StorageAgent:
                                   names=tuple(self.filesystem.list_files()))
             else:
                 continue
-            yield self.control.send_op(reply_to, message=reply,
-                                       payload_size=wire_size(reply))
+            yield from self.control.send(reply_to, message=reply,
+                                         payload_size=wire_size(reply))
 
     def _do_open(self, message: OpenRequest, client: Address) -> OpenReply:
         fs = self.filesystem

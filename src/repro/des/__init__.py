@@ -6,7 +6,6 @@ event/process style (events on a calendar, generator coroutines yielding
 events), which matches the simulator described in §5 of the paper.
 """
 
-from .callback import CallbackProcess
 from .engine import EmptySchedule, Environment, StopSimulation
 from .events import AllOf, AnyOf, Event, Interrupt, Timeout
 from .process import Process
@@ -31,7 +30,6 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "Process",
-    "CallbackProcess",
     "Resource",
     "Store",
     "RandomStream",

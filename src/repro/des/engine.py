@@ -192,8 +192,8 @@ class Environment:
                                  or self._schedule_monitors
                                  or self._resource_monitors
                                  or self._access_monitors)
-        # Event-span coalescing (callback processes replacing a chain of
-        # k deterministic timeouts with one computed completion) demands
+        # Event-span coalescing (a process replacing a chain of k
+        # deterministic timeouts with one computed completion) demands
         # the strictest gate of all: any observer — including the
         # transfer ledger and the aliasing sanitizer, which deliberately
         # leave _unmonitored alone — must see the chain fully expanded,
@@ -420,8 +420,8 @@ class Environment:
     def span_coalescing(self) -> bool:
         """True when event-span coalescing is currently permitted.
 
-        Callback processes about to emit a deterministic chain of k
-        timeouts consult this: when True they may pre-draw the k service
+        Processes about to emit a deterministic chain of k timeouts
+        consult this: when True they may pre-draw the k service
         times in reference order and schedule one completion via
         :meth:`timeout_at`; when False (any monitor attached, tie-break
         shuffling, or ``cohort_dispatch=False``) they must expand the
@@ -471,9 +471,16 @@ class Environment:
         self._schedule_at(timeout, when)
         return timeout
 
-    def process(self, generator: ProcessGenerator) -> Process:
-        """Register ``generator`` as a new process starting now."""
-        return Process(self, generator)
+    def process(self, generator: ProcessGenerator,
+                immediate: bool = False) -> Process:
+        """Register ``generator`` as a new process starting now.
+
+        By default the process starts from an initialisation event, so
+        start order follows creation order.  ``immediate=True`` runs its
+        first segment inside the caller's dispatch instead — a spawned
+        ``yield from``, one calendar entry cheaper.
+        """
+        return Process(self, generator, immediate)
 
     def all_of(self, events) -> AllOf:
         """Event that fires when every event in ``events`` has succeeded."""

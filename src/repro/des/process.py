@@ -7,6 +7,20 @@ exception thrown in, for failed events).
 
 A :class:`Process` is itself an event: it triggers when the generator
 returns (value = the generator's return value) or raises.
+
+Two event savers keep a process as cheap as a hand-written state machine
+(both result-neutral — same timestamps, same draws, same resource
+queueing — and pinned by the golden-result tests):
+
+* **immediate start** — ``Process(env, gen, immediate=True)`` runs the
+  generator's first segment inside the caller's dispatch, exactly as a
+  ``yield from`` would, instead of through an initialisation event;
+* **inline completion** — when no monitor is attached
+  (``env._unmonitored``), a finishing process resumes its waiters on the
+  spot instead of scheduling a completion event for them, and a process
+  nobody waits on finishes with no event at all.  With a monitor
+  attached the completion goes through the calendar, so every observer
+  sees it.
 """
 
 from __future__ import annotations
@@ -23,13 +37,21 @@ __all__ = ["Process", "ProcessGenerator"]
 #: The type a process function must return.
 ProcessGenerator = Generator[Event, Any, Any]
 
+#: The trigger an immediately started process resumes with: a processed,
+#: successful event carrying None, like the initialisation event it skips.
+_START = Event.__new__(Event)
+_START.callbacks = None
+_START._ok = True
+_START._value = None
+
 
 class Process(Event):
     """Wraps a generator and steps it through the event calendar."""
 
     __slots__ = ("_generator", "_target", "_bound_resume")
 
-    def __init__(self, env: "Environment", generator: ProcessGenerator):
+    def __init__(self, env: "Environment", generator: ProcessGenerator,
+                 immediate: bool = False):
         if not hasattr(generator, "throw"):
             raise TypeError(
                 f"{generator!r} is not a generator; did you call the "
@@ -42,6 +64,9 @@ class Process(Event):
         # method otherwise allocates a fresh bound-method object, and the
         # resume callback is registered once per yield.
         self._bound_resume = self._resume
+        if immediate:
+            self._resume(_START)
+            return
         # Kick the process off at the current simulation time via an
         # initialisation event so that process start order follows
         # creation order.
@@ -95,6 +120,9 @@ class Process(Event):
                 except ValueError:  # pragma: no cover - defensive
                     pass
         self._target = None
+        # Restore, not clear: an immediate start or an inline completion
+        # runs this process inside another process's dispatch.
+        previous = env._active_process
         env._active_process = self
         generator = self._generator
         try:
@@ -129,13 +157,22 @@ class Process(Event):
         except StopIteration as exc:
             self._ok = True
             self._value = exc.value
-            env.schedule(self)
+            callbacks = self.callbacks
+            # Inline completion.  A run(until=...) stop callback must
+            # fire from the calendar: raised from here it would abandon
+            # the rest of the triggering event's callbacks.
+            if env._unmonitored and env._stop_callback not in callbacks:
+                self.callbacks = None
+                for callback in callbacks:
+                    callback(self)
+            else:
+                env.schedule(self)
         except BaseException as exc:
             self._ok = False
             self._value = exc
             env.schedule(self)
         finally:
-            env._active_process = None
+            env._active_process = previous
 
     def __repr__(self) -> str:
         name = getattr(self._generator, "__name__", "process")

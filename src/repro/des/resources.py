@@ -213,40 +213,6 @@ class Resource:
             return request
         return Request(self, priority)
 
-    def request_inline(self, priority: float = 0.0) -> Request:
-        """A claim granted *without a grant event* when nothing contends.
-
-        The callback-process hold sequence calls this: when the server is
-        free, the queue empty and no monitor attached, the request is
-        granted on the spot and returned already *processed*
-        (``callbacks is None``) — no calendar entry, no dispatch — and
-        the caller continues inline.  The resource state transition is
-        identical to :meth:`request` (``users`` grows at call time either
-        way; the grant event is pure wakeup latency), so contenders
-        arriving later queue exactly as before.  Contended or monitored
-        calls fall back to :meth:`request`; callers distinguish the two
-        outcomes by ``request.callbacks is None``.
-        """
-        env = self.env
-        if (env._unmonitored and not self._waiting
-                and len(self.users) < self.capacity):
-            pool = env._request_pool
-            if pool:
-                request = pool.pop()
-            else:
-                request = Request.__new__(Request)
-                request.env = env
-                request._stale = None
-            request._defused = False
-            request.resource = self
-            request.priority = priority
-            request._ok = True
-            request._value = None
-            request.callbacks = None
-            self.users.append(request)
-            return request
-        return self.request(priority)
-
     def release(self, request: Request) -> Release:
         """Give a server back (or withdraw a waiting request).
 
@@ -295,9 +261,8 @@ class Resource:
         A Release event is inert — no callbacks ever attach to it, and
         the regrant of the next waiter already happens at release time,
         not when the Release is processed — so for callers that do not
-        need the returned event (the callback-process hold sequence in
-        :mod:`repro.des.callback`) skipping it removes one calendar
-        entry per hold.  Grant order, monitor notification order and
+        need the returned event (:meth:`hold` and the disk and cable
+        holds) skipping it removes one calendar entry per hold.  Grant order, monitor notification order and
         request recycling are identical to :meth:`release`; with any
         step/schedule/resource/access monitor attached the release
         routes through the fully notifying slow path.
@@ -370,6 +335,40 @@ class Resource:
                 env._ready.append(granted)
             else:
                 env.schedule(granted)
+
+    def hold(self, seconds: float, monitor=None, priority: float = 0.0):
+        """Process method: claim a server, hold it ``seconds``, give it back.
+
+        ``yield from resource.hold(...)`` is event for event the same as::
+
+            with resource.request(priority=priority) as grant:
+                yield grant
+                monitor.busy()
+                yield env.timeout(seconds)
+                if resource.queue_length == 0:
+                    monitor.idle()
+
+        except that an uncontended claim is a token (:meth:`try_acquire`:
+        no Request, no grant event) and the release is quiet (no Release
+        event), so an uncontended unmonitored hold costs one calendar
+        entry: the timeout.  ``monitor`` is an optional
+        :class:`~repro.des.stats.UtilizationMonitor`, busy from the grant
+        and idle at release if nobody is queued.  No ``finally``: a hold
+        must not be interrupted, and a dead run's suspended hold is
+        garbage-collected without touching the resource.
+        """
+        request = None if self.try_acquire() else self.request(priority)
+        if request is not None:
+            yield request
+        if monitor is not None:
+            monitor.busy()
+        yield self.env.timeout(seconds)
+        if monitor is not None and not self._waiting:
+            monitor.idle()
+        if request is None:
+            self.release_slot()
+        else:
+            self.release_quiet(request)
 
     def reset(self) -> None:
         """Forget every holder and waiter (warm-start).

@@ -20,10 +20,9 @@
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass
 
-from ..des import CallbackProcess, Environment, OnlineStats, StreamFactory
+from ..des import Environment, OnlineStats, StreamFactory
 from ..simdisk import Disk
 from ..simnet import Host, TokenRing, mips_cost_model
 from .workload import SimConfig
@@ -79,27 +78,10 @@ class SwiftSimModel:
     ``cohort_dispatch=False`` forces the engine's one-heap reference
     scheduler; results are bit-identical either way (the A/B contract
     ``benchmarks/bench_kernel_batched.py`` measures and pins).
-
-    ``process_mode`` selects how the per-request hot loops execute:
-    ``"callback"`` (the default) runs them as slotted
-    :class:`~repro.des.callback.CallbackProcess` state machines with
-    quiet releases, inline joins and — when no monitor forbids it —
-    event-span coalescing of the write path's deterministic disk chain;
-    ``"generator"`` is the yield-based reference.  Results are
-    bit-identical between modes (the A/B contract
-    ``benchmarks/bench_process_modes.py`` measures and pins), so the
-    mode is an execution detail, deliberately *not* part of
-    :class:`SimConfig` and invisible to the result cache.
     """
 
     def __init__(self, config: SimConfig, storage_factory=None,
-                 trace=None, cohort_dispatch: bool = True,
-                 process_mode: str = "callback"):
-        if process_mode not in ("callback", "generator"):
-            raise ValueError(
-                f"process_mode must be 'callback' or 'generator', "
-                f"got {process_mode!r}")
-        self.process_mode = process_mode
+                 trace=None, cohort_dispatch: bool = True):
         self.config = config
         self.env = Environment(tie_break_seed=config.tie_break_seed,
                                cohort_dispatch=cohort_dispatch)
@@ -159,18 +141,10 @@ class SwiftSimModel:
             raise RuntimeError("trace replays cannot be warm-started")
         self.config = config
         # A horizon-stopped run leaves suspended process generators
-        # behind (waiting on calendar events or resource grants).  Their
-        # eventual garbage collection throws GeneratorExit into them,
-        # running `finally` clauses and with-block exits that release
-        # resources and mark monitors idle — against *these* components,
-        # at whatever moment the collector happens to fire.  Force that
-        # finalization now, against the dead run's state, then wipe
-        # everything the finalizers touched; otherwise the next run's
-        # accounting depends on allocation history.  (Callers that hold
-        # their own references to a dead run's processes defeat this —
-        # the sweep paths hold none.)
-        self.env.reset()
-        gc.collect()
+        # behind.  None of the request path's generators has a `with`
+        # block or a `finally` clause, so whenever the collector reaps
+        # them it runs nothing against these components (pinned by
+        # tests/sim/test_warm_start.py).
         self.env.reset()
         self.env.tie_break_seed = config.tie_break_seed
         self.streams.reset()
@@ -284,15 +258,7 @@ class SwiftSimModel:
         start_agent = self._next_start_agent
         self._next_start_agent = (start_agent + 1) % config.num_disks
         shares = config.blocks_per_agent(start_agent)
-        if self.process_mode == "callback":
-            # Immediate start mirrors the generator path's `yield from`:
-            # the op's first CPU request is created in this very
-            # dispatch, so grant queueing is identical between modes.
-            if is_read:
-                yield _ReadOp(self.env, self, client, shares, priority)
-            else:
-                yield _WriteOp(self.env, self, client, shares, priority)
-        elif is_read:
+        if is_read:
             yield from self._read(client, shares, priority)
         else:
             yield from self._write(client, shares, priority)
@@ -330,52 +296,69 @@ class SwiftSimModel:
         return arrived + deadline
 
     def _read(self, client: Host, shares: list[int], priority: float = 0.0):
+        env = self.env
+        ring = self.ring
         # Multicast the small request: one packet on the ring.
-        yield from client.consume_cpu(
-            client.send_cost.time(CONTROL_PACKET_SIZE))
-        yield from self.ring.occupy(
-            self.ring.transmission_time(CONTROL_PACKET_SIZE))
+        yield from client.consume_cpu(client.send_cost.time(CONTROL_PACKET_SIZE))
+        yield from ring.occupy(ring.transmission_time(CONTROL_PACKET_SIZE))
         servers = [
-            self.env.process(self._agent_read(index, blocks, client,
-                                              priority))
+            env.process(self._agent_read(index, blocks, client, priority),
+                        immediate=True)
             for index, blocks in enumerate(shares) if blocks
         ]
-        yield self.env.all_of(servers)
+        for server in servers:
+            yield server
 
     def _agent_read(self, index: int, blocks: int, client: Host,
                     priority: float = 0.0):
+        env = self.env
         host, disk = self.agents[index]
         unit = self.config.transfer_unit
-        yield from host.consume_cpu(
-            host.recv_cost.time(CONTROL_PACKET_SIZE))
-        transmissions = []
-        with disk.resource.request(priority=priority) as grant:
+        yield from host.consume_cpu(host.recv_cost.time(CONTROL_PACKET_SIZE))
+        spindle = disk.resource
+        grant = None if spindle.try_acquire() else spindle.request(priority)
+        if grant is not None:
             yield grant
-            disk.monitor.busy()
-            try:
-                for _ in range(blocks):
-                    yield self.env.timeout(disk.block_service_time(unit))
-                    disk.blocks_served += 1
-                    disk.bytes_served += unit
-                    # "Once a block has been read from disk it is scheduled
-                    # for transmission over the network."
-                    transmissions.append(
-                        self.env.process(self._send_block(host, client, unit)))
-            finally:
-                if disk.resource.queue_length == 0:
-                    disk.monitor.idle()
-        yield self.env.all_of(transmissions)
+        disk.monitor.busy()
+        # Reads never coalesce: each block completion starts a network
+        # transmission at its own timestamp.
+        transmissions = []
+        for _ in range(blocks):
+            yield env.timeout(disk.block_service_time(unit))
+            disk.blocks_served += 1
+            disk.bytes_served += unit
+            # "Once a block has been read from disk it is scheduled for
+            # transmission over the network."
+            transmissions.append(env.process(
+                self._send_block(host, client, unit), immediate=True))
+        self._release_spindle(disk, grant)
+        for transmission in transmissions:
+            yield transmission
 
     def _send_block(self, host: Host, client: Host, size: int):
+        ring = self.ring
         yield from host.consume_cpu(host.send_cost.time(size))
-        yield from self.ring.occupy(self.ring.transmission_time(size))
+        yield from ring.occupy(ring.transmission_time(size))
         yield from client.consume_cpu(client.recv_cost.time(size))
+
+    @staticmethod
+    def _release_spindle(disk: Disk, grant) -> None:
+        if disk.resource.queue_length == 0:
+            disk.monitor.idle()
+        if grant is None:
+            disk.resource.release_slot()
+        else:
+            disk.resource.release_quiet(grant)
 
     # -- write path ------------------------------------------------------------------
 
     def _write(self, client: Host, shares: list[int], priority: float = 0.0):
-        agents_done = []
+        env = self.env
+        ring = self.ring
         unit = self.config.transfer_unit
+        send_s = client.send_cost.time(unit)
+        wire_s = ring.transmission_time(unit)
+        agents_done = []
         # "A write request transmits the data to each of the storage
         # agents" — every block pays client CPU and ring time serially at
         # the client, arriving at its agent as it is sent.
@@ -383,354 +366,50 @@ class SwiftSimModel:
             if not blocks:
                 continue
             for _ in range(blocks):
-                yield from client.consume_cpu(client.send_cost.time(unit))
-                yield from self.ring.occupy(self.ring.transmission_time(unit))
-            agents_done.append(self.env.process(
-                self._agent_write(index, blocks, client, priority)))
+                yield from client.consume_cpu(send_s)
+                yield from ring.occupy(wire_s)
+            agents_done.append(env.process(
+                self._agent_write(index, blocks, client, priority),
+                immediate=True))
         # "Once the blocks have been transmitted the client awaits an
         # acknowledgement from the storage agents that the data have been
         # written to disk."
-        yield self.env.all_of(agents_done)
+        for agent in agents_done:
+            yield agent
 
     def _agent_write(self, index: int, blocks: int, client: Host,
                      priority: float = 0.0):
+        env = self.env
+        ring = self.ring
         host, disk = self.agents[index]
         unit = self.config.transfer_unit
+        recv_s = host.recv_cost.time(unit)
         for _ in range(blocks):
-            yield from host.consume_cpu(host.recv_cost.time(unit))
-        with disk.resource.request(priority=priority) as grant:
+            yield from host.consume_cpu(recv_s)
+        spindle = disk.resource
+        grant = None if spindle.try_acquire() else spindle.request(priority)
+        if grant is not None:
             yield grant
-            disk.monitor.busy()
-            try:
-                for _ in range(blocks):
-                    yield self.env.timeout(disk.block_service_time(unit))
-                    disk.blocks_served += 1
-                    disk.bytes_served += unit
-            finally:
-                if disk.resource.queue_length == 0:
-                    disk.monitor.idle()
-        # The acknowledgement.
-        yield from host.consume_cpu(host.send_cost.time(CONTROL_PACKET_SIZE))
-        yield from self.ring.occupy(
-            self.ring.transmission_time(CONTROL_PACKET_SIZE))
-        yield from client.consume_cpu(
-            client.recv_cost.time(CONTROL_PACKET_SIZE))
-
-
-# -- callback execution mode --------------------------------------------------
-#
-# State-machine twins of the generator request path above, one class per
-# generator method, mirrored step for step: every resource request is
-# created at the same dispatch, every service time is drawn at the same
-# point in the same stream order, every busy/idle transition lands on the
-# same timestamp.  The deliberate divergences — quiet releases, inline
-# join counters instead of AllOf events, and the coalesced write-path
-# disk chain — are result-neutral and pinned bit-identical by
-# tests/sim/test_process_modes.py and benchmarks/bench_process_modes.py.
-
-
-class _ReadOp(CallbackProcess):
-    """Callback twin of ``SwiftSimModel._read`` (started immediately)."""
-
-    __slots__ = ("model", "client", "shares", "priority")
-
-    def __init__(self, env, model, client, shares, priority):
-        self.model = model
-        self.client = client
-        self.shares = shares
-        self.priority = priority
-        super().__init__(env, immediate=True)
-
-    def _start(self, value):
-        client = self.client
-        self.hold(client.cpu,
-                  client.send_cost.time(CONTROL_PACKET_SIZE),
-                  self._multicast)
-
-    def _multicast(self, value):
-        ring = self.model.ring
-        self.hold(ring.cable,
-                  ring.transmission_time(CONTROL_PACKET_SIZE),
-                  self._fan_out, monitor=ring.monitor)
-
-    def _fan_out(self, value):
-        env = self.env
-        model = self.model
-        for index, blocks in enumerate(self.shares):
-            if blocks:
-                self.adopt(_AgentRead(env, model, index, blocks,
-                                      self.client, self.priority))
-        self.join(self._served)
-
-    def _served(self, value):
-        self._finish()
-
-
-class _AgentRead(CallbackProcess):
-    """Callback twin of ``SwiftSimModel._agent_read``."""
-
-    __slots__ = ("model", "index", "blocks", "client", "priority",
-                 "_host", "_disk", "_grant", "_left", "_unit")
-
-    def __init__(self, env, model, index, blocks, client, priority):
-        self.model = model
-        self.index = index
-        self.blocks = blocks
-        self.client = client
-        self.priority = priority
-        self._unit = model.config.transfer_unit
-        super().__init__(env, immediate=True)
-
-    def _start(self, value):
-        host, disk = self.model.agents[self.index]
-        self._host = host
-        self._disk = disk
-        self.hold(host.cpu,
-                  host.recv_cost.time(CONTROL_PACKET_SIZE),
-                  self._request_disk)
-
-    def _request_disk(self, value):
-        resource = self._disk.resource
-        if resource.try_acquire():
-            self._grant = None
-            self._granted(None)
-        else:
-            self._grant = grant = resource.request(self.priority)
-            self.wait(grant, self._granted)
-
-    def _granted(self, value):
-        disk = self._disk
-        disk.monitor.busy()
-        self._left = self.blocks
-        # Reads never coalesce: each block completion spawns a network
-        # transmission at its own intermediate timestamp.
-        self.wait_timeout(
-            disk.block_service_time(self._unit),
-            self._block_done)
-
-    def _block_done(self, value):
-        disk = self._disk
-        unit = self._unit
-        disk.blocks_served += 1
-        disk.bytes_served += unit
-        # "Once a block has been read from disk it is scheduled for
-        # transmission over the network."
-        self.adopt(_SendBlock(self.env, self.model, self._host,
-                              self.client, unit))
-        self._left -= 1
-        if self._left:
-            self.wait_timeout(disk.block_service_time(unit),
-                              self._block_done)
-            return
-        if disk.resource.queue_length == 0:
-            disk.monitor.idle()
-        if self._grant is None:
-            disk.resource.release_slot()
-        else:
-            disk.resource.release_quiet(self._grant)
-            self._grant = None
-        self.join(self._transmitted)
-
-    def _transmitted(self, value):
-        self._finish()
-
-
-class _SendBlock(CallbackProcess):
-    """Callback twin of ``SwiftSimModel._send_block``."""
-
-    __slots__ = ("model", "host", "client", "size")
-
-    def __init__(self, env, model, host, client, size):
-        self.model = model
-        self.host = host
-        self.client = client
-        self.size = size
-        super().__init__(env, immediate=True)
-
-    def _start(self, value):
-        host = self.host
-        self.hold(host.cpu, host.send_cost.time(self.size), self._on_ring)
-
-    def _on_ring(self, value):
-        ring = self.model.ring
-        self.hold(ring.cable, ring.transmission_time(self.size),
-                  self._delivered, monitor=ring.monitor)
-
-    def _delivered(self, value):
-        client = self.client
-        self.hold(client.cpu, client.recv_cost.time(self.size), self._done)
-
-    def _done(self, value):
-        self._finish()
-
-
-class _WriteOp(CallbackProcess):
-    """Callback twin of ``SwiftSimModel._write`` (started immediately)."""
-
-    __slots__ = ("model", "client", "priority", "_pairs", "_pos",
-                 "_blocks_left", "_unit")
-
-    def __init__(self, env, model, client, shares, priority):
-        self.model = model
-        self.client = client
-        self.priority = priority
-        self._pairs = [(index, blocks)
-                       for index, blocks in enumerate(shares) if blocks]
-        self._pos = 0
-        self._unit = model.config.transfer_unit
-        super().__init__(env, immediate=True)
-
-    def _start(self, value):
-        self._next_agent(None)
-
-    def _next_agent(self, value):
-        if self._pos == len(self._pairs):
-            # "Once the blocks have been transmitted the client awaits an
-            # acknowledgement from the storage agents."
-            self.join(self._acknowledged)
-            return
-        self._blocks_left = self._pairs[self._pos][1]
-        self._send_block(None)
-
-    def _send_block(self, value):
-        client = self.client
-        self.hold(client.cpu,
-                  client.send_cost.time(self._unit),
-                  self._block_on_ring)
-
-    def _block_on_ring(self, value):
-        ring = self.model.ring
-        self.hold(ring.cable,
-                  ring.transmission_time(self._unit),
-                  self._block_sent, monitor=ring.monitor)
-
-    def _block_sent(self, value):
-        self._blocks_left -= 1
-        if self._blocks_left:
-            self._send_block(None)
-            return
-        index, blocks = self._pairs[self._pos]
-        self.adopt(_AgentWrite(self.env, self.model, index, blocks,
-                               self.client, self.priority))
-        self._pos += 1
-        self._next_agent(None)
-
-    def _acknowledged(self, value):
-        self._finish()
-
-
-class _AgentWrite(CallbackProcess):
-    """Callback twin of ``SwiftSimModel._agent_write``.
-
-    The disk chain here is the model's span-coalescing site: B blocks
-    hit the platter back to back under one spindle hold with no
-    intervening choice, so when the engine permits
-    (:attr:`~repro.des.engine.Environment.span_coalescing`) the B
-    service times are pre-drawn in reference stream order — legal
-    because this process holds the spindle, and per-disk streams are
-    drawn only by the spindle holder — accumulated with the exact float
-    additions the expanded chain would perform, and landed as one
-    :meth:`~repro.des.engine.Environment.timeout_at` completion instead
-    of B calendar entries.
-    """
-
-    __slots__ = ("model", "index", "blocks", "client", "priority",
-                 "_host", "_disk", "_grant", "_left", "_unit")
-
-    def __init__(self, env, model, index, blocks, client, priority):
-        self.model = model
-        self.index = index
-        self.blocks = blocks
-        self.client = client
-        self.priority = priority
-        self._unit = model.config.transfer_unit
-        super().__init__(env, immediate=True)
-
-    def _start(self, value):
-        host, disk = self.model.agents[self.index]
-        self._host = host
-        self._disk = disk
-        self._left = self.blocks
-        self._recv_block(None)
-
-    def _recv_block(self, value):
-        host = self._host
-        self.hold(host.cpu,
-                  host.recv_cost.time(self._unit),
-                  self._block_received)
-
-    def _block_received(self, value):
-        self._left -= 1
-        if self._left:
-            self._recv_block(None)
-            return
-        resource = self._disk.resource
-        if resource.try_acquire():
-            self._grant = None
-            self._granted(None)
-        else:
-            self._grant = grant = resource.request(self.priority)
-            self.wait(grant, self._granted)
-
-    def _granted(self, value):
-        env = self.env
-        disk = self._disk
-        unit = self._unit
         disk.monitor.busy()
         if env._span_fast:
+            # Span coalescing: the B blocks hit the platter back to back
+            # under one spindle hold, so their service times are drawn up
+            # front in stream order (only the spindle holder draws the
+            # disk's stream) and land as one completion at the exactly
+            # accumulated time.
             when = env.now
-            for _ in range(self.blocks):
+            for _ in range(blocks):
                 when += disk.block_service_time(unit)
-            self.wait(env.timeout_at(when), self._span_done)
-            return
-        self._left = self.blocks
-        self.wait_timeout(disk.block_service_time(unit),
-                          self._block_written)
-
-    def _block_written(self, value):
-        disk = self._disk
-        unit = self._unit
-        disk.blocks_served += 1
-        disk.bytes_served += unit
-        self._left -= 1
-        if self._left:
-            self.wait_timeout(disk.block_service_time(unit),
-                              self._block_written)
-            return
-        self._release_disk()
-
-    def _span_done(self, value):
-        disk = self._disk
-        disk.blocks_served += self.blocks
-        disk.bytes_served += self.blocks * self._unit
-        self._release_disk()
-
-    def _release_disk(self):
-        disk = self._disk
-        if disk.resource.queue_length == 0:
-            disk.monitor.idle()
-        if self._grant is None:
-            disk.resource.release_slot()
+            yield env.timeout_at(when)
+            disk.blocks_served += blocks
+            disk.bytes_served += blocks * unit
         else:
-            disk.resource.release_quiet(self._grant)
-            self._grant = None
+            for _ in range(blocks):
+                yield env.timeout(disk.block_service_time(unit))
+                disk.blocks_served += 1
+                disk.bytes_served += unit
+        self._release_spindle(disk, grant)
         # The acknowledgement.
-        host = self._host
-        self.hold(host.cpu,
-                  host.send_cost.time(CONTROL_PACKET_SIZE),
-                  self._ack_on_ring)
-
-    def _ack_on_ring(self, value):
-        ring = self.model.ring
-        self.hold(ring.cable,
-                  ring.transmission_time(CONTROL_PACKET_SIZE),
-                  self._ack_sent, monitor=ring.monitor)
-
-    def _ack_sent(self, value):
-        client = self.client
-        self.hold(client.cpu,
-                  client.recv_cost.time(CONTROL_PACKET_SIZE),
-                  self._done)
-
-    def _done(self, value):
-        self._finish()
+        yield from host.consume_cpu(host.send_cost.time(CONTROL_PACKET_SIZE))
+        yield from ring.occupy(ring.transmission_time(CONTROL_PACKET_SIZE))
+        yield from client.consume_cpu(client.recv_cost.time(CONTROL_PACKET_SIZE))

@@ -1,7 +1,7 @@
 """Storage substrate: disk models, buffer cache, block file system, SCSI path."""
 
 from .cache import BufferCache, CacheStats
-from .disk import Disk, DiskAccess
+from .disk import Disk
 from .filesystem import (
     FileExists,
     FileNotFound,
@@ -15,7 +15,6 @@ from .scsi import ScsiMode, make_scsi_filesystem
 
 __all__ = [
     "Disk",
-    "DiskAccess",
     "DiskSpec",
     "DISK_CATALOG",
     "FIGURE_5_6_DISKS",

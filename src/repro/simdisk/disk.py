@@ -15,16 +15,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..des import (
-    CallbackProcess,
-    Environment,
-    RandomStream,
-    Resource,
-    UtilizationMonitor,
-)
+from ..des import Environment, RandomStream, Resource, UtilizationMonitor
 from .models import DiskSpec
 
-__all__ = ["Disk", "DiskAccess"]
+__all__ = ["Disk"]
 
 
 class Disk:
@@ -104,8 +98,18 @@ class Disk:
         request still holds the spindle — buffer caches use it to publish
         blocks to waiting readers as they stream off the platter.
 
-        This is a process method: ``yield env.process(disk.access(...))``.
+        This is a process method: ``yield from disk.access(...)``.
         Returns total service time.
+
+        The block chain is a span-coalescing site: with no ``on_block``
+        and the engine permitting it
+        (:attr:`~repro.des.engine.Environment.span_coalescing`), the
+        per-block service times are drawn up front in the same stream
+        order — legal because the spindle holder is the only drawer of
+        the disk's stream — and the whole chain lands as one completion
+        at the exactly accumulated time
+        (:meth:`~repro.des.engine.Environment.timeout_at`).  An interrupt
+        withdraws a queued claim, or releases a held spindle.
         """
         if blocks < 1:
             raise ValueError(f"blocks must be >= 1, got {blocks}")
@@ -113,53 +117,60 @@ class Disk:
             raise ValueError("nbytes must be non-negative")
         if per_block_extra_s < 0:
             raise ValueError("per_block_extra_s must be non-negative")
-        started = self.env.now
-        with self.resource.request() as grant:
-            yield grant
+        env = self.env
+        resource = self.resource
+        started = env.now
+        grant = None if resource.try_acquire() else resource.request()
+        holding = grant is None
+        try:
+            if grant is not None:
+                yield grant
+                holding = True
             # The head position must be read *after* the grant: requests
             # that queued ahead of us may have moved it.
-            head_continues = (at_block is not None
-                              and at_block == self._head)
+            services = self._service_times(
+                nbytes, blocks, sequential,
+                at_block is not None and at_block == self._head,
+                per_block_extra_s)
             self.monitor.busy()
-            try:
-                for index in range(blocks):
-                    service = self.spec.transfer_time(nbytes) \
-                        + per_block_extra_s
-                    if index == 0:
-                        if not head_continues:
-                            service += self.draw_positioning_time()
-                    elif not sequential:
-                        service += self.draw_positioning_time()
-                    yield self.env.timeout(service)
+            if on_block is None and env._span_fast:
+                when = env.now
+                for service in services:
+                    when += service
+                yield env.timeout_at(when)
+                self.blocks_served += blocks
+                self.bytes_served += blocks * nbytes
+            else:
+                for index, service in enumerate(services):
+                    yield env.timeout(service)
                     self.blocks_served += 1
                     self.bytes_served += nbytes
                     if on_block is not None:
                         on_block(index)
-            finally:
+        finally:
+            if holding:
                 self._head = (at_block + blocks
                               if at_block is not None else None)
-                if self.resource.count <= 1:
+                if resource.count <= 1:
                     self.monitor.idle()
-        return self.env.now - started
+            if grant is None:
+                resource.release_slot()
+            else:
+                resource.release_quiet(grant)
+        return env.now - started
 
-    def access_op(self, nbytes: int, blocks: int = 1,
-                  sequential: bool = False,
-                  at_block: Optional[int] = None,
-                  per_block_extra_s: float = 0.0,
-                  on_block=None) -> "DiskAccess":
-        """Callback-mode :meth:`access`: the same service sequence with
-        far fewer calendar entries.
-
-        Returns a started :class:`DiskAccess` — an event a generator
-        process can ``yield`` (value: total service time) or another
-        callback process can ``wait`` on.  Semantics, draw order and
-        timestamps match :meth:`access` exactly; when the engine permits
-        (:attr:`~repro.des.engine.Environment.span_coalescing`) and no
-        ``on_block`` needs intermediate completions, the whole
-        multiblock chain lands as one pre-drawn completion event.
-        """
-        return DiskAccess(self, nbytes, blocks, sequential, at_block,
-                          per_block_extra_s, on_block)
+    def _service_times(self, nbytes: int, blocks: int, sequential: bool,
+                       head_continues: bool, extra_s: float):
+        """Each block's service time, positioning drawn as it is reached."""
+        transfer = self.spec.transfer_time(nbytes) + extra_s
+        for index in range(blocks):
+            service = transfer
+            if index == 0:
+                if not head_continues:
+                    service += self.draw_positioning_time()
+            elif not sequential:
+                service += self.draw_positioning_time()
+            yield service
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -174,140 +185,3 @@ class Disk:
 
     def __repr__(self) -> str:
         return f"<Disk {self.spec.name} served={self.blocks_served} blocks>"
-
-
-class DiskAccess(CallbackProcess):
-    """Callback twin of :meth:`Disk.access` (started immediately).
-
-    Block for block the same as the generator: head continuation read
-    after the grant, per-block positioning draws in loop order, counters
-    and ``on_block`` at each block completion, head update and
-    idle-if-last before release.  The disk chain is a span-coalescing
-    site: with no ``on_block`` and no monitor attached, the per-block
-    service times are pre-drawn in exact reference stream order — legal
-    because this process holds the spindle and per-disk streams are
-    drawn only by the spindle holder — and land as a single computed
-    completion (:meth:`~repro.des.engine.Environment.timeout_at`).
-    """
-
-    __slots__ = ("disk", "nbytes", "blocks", "sequential", "at_block",
-                 "per_block_extra_s", "on_block",
-                 "_started", "_grant", "_holding", "_head_continues",
-                 "_index")
-
-    def __init__(self, disk: Disk, nbytes: int, blocks: int = 1,
-                 sequential: bool = False, at_block: Optional[int] = None,
-                 per_block_extra_s: float = 0.0, on_block=None):
-        # Argument validation must precede the immediate start.
-        if blocks < 1:
-            raise ValueError(f"blocks must be >= 1, got {blocks}")
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        if per_block_extra_s < 0:
-            raise ValueError("per_block_extra_s must be non-negative")
-        self.disk = disk
-        self.nbytes = nbytes
-        self.blocks = blocks
-        self.sequential = sequential
-        self.at_block = at_block
-        self.per_block_extra_s = per_block_extra_s
-        self.on_block = on_block
-        self._holding = False
-        super().__init__(disk.env, immediate=True)
-
-    def _start(self, value):
-        self._started = self.env.now
-        resource = self.disk.resource
-        if resource.try_acquire():
-            self._grant = None
-            self._granted(None)
-        else:
-            self._grant = grant = resource.request()
-            self.wait(grant, self._granted)
-
-    def _granted(self, value):
-        disk = self.disk
-        self._holding = True
-        # The head position must be read *after* the grant: requests
-        # that queued ahead of us may have moved it.
-        head_continues = (self.at_block is not None
-                          and self.at_block == disk._head)
-        disk.monitor.busy()
-        env = self.env
-        if self.on_block is None and env._span_fast:
-            spec = disk.spec
-            nbytes = self.nbytes
-            extra = self.per_block_extra_s
-            sequential = self.sequential
-            when = env.now
-            for index in range(self.blocks):
-                service = spec.transfer_time(nbytes) + extra
-                if index == 0:
-                    if not head_continues:
-                        service += disk.draw_positioning_time()
-                elif not sequential:
-                    service += disk.draw_positioning_time()
-                when += service
-            self.wait(env.timeout_at(when), self._span_done)
-            return
-        self._head_continues = head_continues
-        self._index = 0
-        self._next_block()
-
-    def _next_block(self):
-        disk = self.disk
-        service = disk.spec.transfer_time(self.nbytes) \
-            + self.per_block_extra_s
-        if self._index == 0:
-            if not self._head_continues:
-                service += disk.draw_positioning_time()
-        elif not self.sequential:
-            service += disk.draw_positioning_time()
-        self.wait_timeout(service, self._block_done)
-
-    def _block_done(self, value):
-        disk = self.disk
-        disk.blocks_served += 1
-        disk.bytes_served += self.nbytes
-        on_block = self.on_block
-        if on_block is not None:
-            on_block(self._index)
-        self._index += 1
-        if self._index < self.blocks:
-            self._next_block()
-            return
-        self._complete()
-
-    def _span_done(self, value):
-        disk = self.disk
-        disk.blocks_served += self.blocks
-        disk.bytes_served += self.blocks * self.nbytes
-        self._complete()
-
-    def _complete(self):
-        self._release_spindle()
-        self._finish(self.env.now - self._started)
-
-    def _release_spindle(self):
-        # The generator's `finally`, in order: head update, idle check
-        # while still holding, then the release.
-        disk = self.disk
-        disk._head = (self.at_block + self.blocks
-                      if self.at_block is not None else None)
-        if disk.resource.count <= 1:
-            disk.monitor.idle()
-        self._holding = False
-        if self._grant is None:
-            disk.resource.release_slot()
-        else:
-            disk.resource.release_quiet(self._grant)
-            self._grant = None
-
-    def _on_failure(self, exc):
-        if self._holding:
-            self._release_spindle()
-        elif self._grant is not None:
-            # Interrupted while queued: withdraw the pending request.
-            self.disk.resource.release_quiet(self._grant)
-            self._grant = None
-        raise exc

@@ -312,15 +312,12 @@ class LocalFileSystem:
         return runs
 
     def _disk_read(self, disk_blocks: list[int], on_block_complete=None):
-        # Callback-mode disk service (see simdisk.disk.DiskAccess): same
-        # draws and timestamps as `yield from disk.access(...)`, a
-        # fraction of the calendar entries.
         for run in self._runs(disk_blocks):
             callback = None
             if on_block_complete is not None:
                 def callback(index, run=run):
                     on_block_complete(run[index])
-            yield self.disk.access_op(
+            yield from self.disk.access(
                 self.block_size, blocks=len(run), sequential=True,
                 at_block=run[0],
                 per_block_extra_s=self.read_block_overhead_s,
@@ -328,7 +325,7 @@ class LocalFileSystem:
 
     def _disk_write(self, disk_blocks: list[int]):
         for run in self._runs(disk_blocks):
-            yield self.disk.access_op(
+            yield from self.disk.access(
                 self.block_size, blocks=len(run), sequential=True,
                 at_block=run[0],
                 per_block_extra_s=self.write_block_overhead_s)

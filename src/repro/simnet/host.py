@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..des import CallbackProcess, Environment, Resource, Store
+from ..des import Environment, Resource, Store
 from .frames import Address, Datagram, HEADER_SIZE
 from .medium import Medium
 
 __all__ = ["CostModel", "Host", "Interface", "DatagramSocket",
-           "SocketSend", "mips_cost_model"]
+           "mips_cost_model"]
 
 
 @dataclass(frozen=True)
@@ -159,12 +159,11 @@ class Host:
     # -- CPU accounting ------------------------------------------------------------
 
     def consume_cpu(self, seconds: float):
-        """Process method: hold the CPU for ``seconds``."""
+        """Process method: hold the CPU for ``seconds``
+        (``yield from host.consume_cpu(...)``; see :meth:`Resource.hold`)."""
         if seconds < 0:
             raise ValueError("seconds must be non-negative")
-        with self.cpu.request() as grant:
-            yield grant
-            yield self.env.timeout(seconds)
+        return self.cpu.hold(seconds)
 
     def __repr__(self) -> str:
         return f"<Host {self.name} ifaces={len(self.interfaces)}>"
@@ -191,7 +190,7 @@ class Interface:
         self._tx_queue = Store(host.env)
         self.tx_dropped = 0
         self.rx_dropped_no_socket = 0
-        _Transmitter(self)
+        host.env.process(self._transmit_pump())
 
     # -- transmit side -----------------------------------------------------------
 
@@ -207,6 +206,14 @@ class Interface:
         self._tx_queue.put(datagram)
         return True
 
+    def _transmit_pump(self):
+        """Drain the transmit queue onto the medium, forever."""
+        tx_queue = self._tx_queue
+        medium = self.medium
+        while True:
+            datagram = yield tx_queue.get()
+            yield from medium.transmit(datagram)
+
     @property
     def tx_backlog(self) -> int:
         """Datagrams waiting in the transmit queue."""
@@ -215,66 +222,23 @@ class Interface:
     # -- receive side -------------------------------------------------------------
 
     def receive(self, datagram: Datagram) -> None:
-        """Called by the medium on delivery; charges the receiving CPU."""
-        _Receiver(self, datagram)
+        """Called by the medium on delivery; charges the receiving CPU.
 
+        The receive process starts from the calendar, not immediately:
+        its jittered CPU-cost draw must come after same-time work already
+        queued on this host.
+        """
+        self.host.env.process(self._receive(datagram))
 
-class _Transmitter(CallbackProcess):
-    """The interface transmit pump, callback-mode.
-
-    Deferred start (like the generator it replaces, spawned via
-    ``env.process``), then an endless drain loop: dequeue, put the
-    datagram on the medium (:class:`~repro.simnet.medium.TransmitOp`),
-    repeat.
-    """
-
-    __slots__ = ("interface",)
-
-    def __init__(self, interface: "Interface"):
-        self.interface = interface
-        super().__init__(interface.host.env)
-
-    def _start(self, value):
-        self._drain(None)
-
-    def _drain(self, _value):
-        self.wait(self.interface._tx_queue.get(), self._got)
-
-    def _got(self, datagram):
-        self.wait(self.interface.medium.transmit_op(datagram), self._drain)
-
-
-class _Receiver(CallbackProcess):
-    """Per-datagram receive path, callback-mode.
-
-    Deferred start on purpose: the jittered CPU-cost draw happens when
-    the process *starts*, exactly where the generator version drew it —
-    immediate start would reorder draws against other same-host work.
-    """
-
-    __slots__ = ("interface", "datagram")
-
-    def __init__(self, interface: "Interface", datagram: Datagram):
-        self.interface = interface
-        self.datagram = datagram
-        super().__init__(interface.host.env)
-
-    def _start(self, value):
-        interface = self.interface
-        host = interface.host
-        cost = host.jittered(
-            host.recv_cost.time(self.datagram.size) * interface.cpu_cost_scale)
-        self.hold(host.cpu, cost, self._charged)
-
-    def _charged(self, value):
-        interface = self.interface
-        datagram = self.datagram
-        socket = interface.host.socket_on(datagram.dst.port)
+    def _receive(self, datagram: Datagram):
+        host = self.host
+        yield from host.consume_cpu(host.jittered(
+            host.recv_cost.time(datagram.size) * self.cpu_cost_scale))
+        socket = host.socket_on(datagram.dst.port)
         if socket is None:
-            interface.rx_dropped_no_socket += 1
+            self.rx_dropped_no_socket += 1
         else:
             socket.deliver(datagram)
-        self._finish()
 
 
 class DatagramSocket:
@@ -318,14 +282,6 @@ class DatagramSocket:
         yield from self.host.consume_cpu(cost)
         interface.enqueue(datagram)
 
-    def send_op(self, dst: Address, message: Any = None,
-                payload_size: int = 0) -> "SocketSend":
-        """Callback-mode :meth:`send`: same CPU charge and enqueue,
-        dispatched as a :class:`SocketSend` state machine.  Generator
-        callers ``yield`` the returned op where they had
-        ``yield from socket.send(...)``."""
-        return SocketSend(self, dst, message, payload_size)
-
     # -- receiving ------------------------------------------------------------------
 
     def deliver(self, datagram: Datagram) -> None:
@@ -366,40 +322,3 @@ class DatagramSocket:
     def pending(self) -> int:
         """Datagrams buffered and not yet received."""
         return self._rx.size
-
-
-class SocketSend(CallbackProcess):
-    """Callback twin of :meth:`DatagramSocket.send` (started immediately).
-
-    Validation, routing and datagram construction happen at the call
-    site — the same dispatch point where a ``yield from socket.send``
-    would have run them — then the jittered CPU charge holds the host
-    CPU and the datagram joins the interface queue.
-    """
-
-    __slots__ = ("socket", "interface", "datagram")
-
-    def __init__(self, socket: DatagramSocket, dst: Address,
-                 message: Any = None, payload_size: int = 0):
-        if socket.closed:
-            raise RuntimeError("socket is closed")
-        if payload_size < 0:
-            raise ValueError("payload_size must be non-negative")
-        host = socket.host
-        self.socket = socket
-        self.interface = host.route(dst.host)
-        size = payload_size + HEADER_SIZE
-        self.datagram = Datagram(src=socket.address, dst=dst, size=size,
-                                 message=message)
-        super().__init__(host.env, immediate=True)
-
-    def _start(self, value):
-        host = self.socket.host
-        cost = host.jittered(
-            host.send_cost.time(self.datagram.size)
-            * self.interface.cpu_cost_scale)
-        self.hold(host.cpu, cost, self._charged)
-
-    def _charged(self, value):
-        self.interface.enqueue(self.datagram)
-        self._finish()

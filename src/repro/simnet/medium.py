@@ -11,19 +11,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..des import (
-    CallbackProcess,
-    Environment,
-    RandomStream,
-    Resource,
-    UtilizationMonitor,
-)
+from ..des import Environment, RandomStream, Resource, UtilizationMonitor
 from .frames import Datagram
 
 if TYPE_CHECKING:  # pragma: no cover
     from .host import Interface
 
-__all__ = ["Medium", "MediumStats", "TransmitOp"]
+__all__ = ["Medium", "MediumStats"]
 
 
 class MediumStats:
@@ -109,26 +103,34 @@ class Medium:
     def transmit(self, datagram: Datagram):
         """Process method: occupy the cable, then deliver.
 
-        Called by the sending interface's transmitter process.  Returns True
+        Called by the sending interface's transmit pump.  Returns True
         if the datagram was delivered to the destination host's interface
-        (loss injection and unknown destinations both yield False).
+        (loss injection and unknown destinations both yield False).  The
+        service time is computed at the grant: the contention penalty
+        depends on who is fighting for the cable at that instant.  An
+        interrupt withdraws a queued claim, or releases a held cable.
         """
         sender = datagram.src.host
-        self._active_by_host[sender] = \
-            self._active_by_host.get(sender, 0) + 1
+        active = self._active_by_host
+        active[sender] = active.get(sender, 0) + 1
+        cable = self.cable
+        grant = None if cable.try_acquire() else cable.request()
+        holding = grant is None
         try:
-            with self.cable.request() as grant:
+            if grant is not None:
                 yield grant
-                self.monitor.busy()
-                try:
-                    service = self.transmission_time(datagram.size)
-                    service += self.contention_penalty(sender)
-                    yield self.env.timeout(service)
-                finally:
-                    if self.cable.queue_length == 0:
-                        self.monitor.idle()
+                holding = True
+            self.monitor.busy()
+            yield self.env.timeout(self.transmission_time(datagram.size)
+                                   + self.contention_penalty(sender))
         finally:
-            self._active_by_host[sender] -= 1
+            if holding and cable.queue_length == 0:
+                self.monitor.idle()
+            if grant is None:
+                cable.release_slot()
+            else:
+                cable.release_quiet(grant)
+            active[sender] -= 1
         self.stats.datagrams_carried += 1
         self.stats.bytes_carried += datagram.size
         if self.loss_probability and self.loss_stream.bernoulli(self.loss_probability):
@@ -141,23 +143,9 @@ class Medium:
         target.receive(datagram)
         return True
 
-    def transmit_op(self, datagram: Datagram) -> "TransmitOp":
-        """Callback-mode :meth:`transmit`: same cable occupancy and
-        delivery, dispatched as a :class:`TransmitOp` state machine
-        (value: True when delivered).  The interface transmit pump uses
-        this; ``transmit`` remains the generator reference."""
-        return TransmitOp(self, datagram)
-
     def occupy(self, duration: float):
         """Process method: hold the cable for ``duration`` (background load)."""
-        with self.cable.request() as grant:
-            yield grant
-            self.monitor.busy()
-            try:
-                yield self.env.timeout(duration)
-            finally:
-                if self.cable.queue_length == 0:
-                    self.monitor.idle()
+        return self.cable.hold(duration, self.monitor)
 
     def utilization(self) -> float:
         """Busy fraction of the cable since construction."""
@@ -165,91 +153,3 @@ class Medium:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name} hosts={len(self._interfaces)}>"
-
-
-class TransmitOp(CallbackProcess):
-    """Callback twin of :meth:`Medium.transmit` (started immediately).
-
-    Step for step the generator's sequence: contention registration at
-    entry, cable occupancy with the service time computed *at grant*
-    (transmission time plus the medium's contention penalty, which
-    depends on who is fighting for the cable at that instant), idle
-    check before release, deregistration, then stats, loss draw and
-    delivery.  The cable hold needs grant-time state, so it is written
-    as explicit states rather than :meth:`~repro.des.callback.CallbackProcess.hold`.
-    """
-
-    __slots__ = ("medium", "datagram", "_grant", "_holding")
-
-    def __init__(self, medium: Medium, datagram: Datagram):
-        self.medium = medium
-        self.datagram = datagram
-        self._grant = None
-        self._holding = False
-        super().__init__(medium.env, immediate=True)
-
-    def _start(self, value):
-        medium = self.medium
-        sender = self.datagram.src.host
-        active = medium._active_by_host
-        active[sender] = active.get(sender, 0) + 1
-        cable = medium.cable
-        if cable.try_acquire():
-            self._granted(None)
-        else:
-            self._grant = grant = cable.request()
-            self.wait(grant, self._granted)
-
-    def _granted(self, value):
-        medium = self.medium
-        self._holding = True
-        medium.monitor.busy()
-        datagram = self.datagram
-        service = medium.transmission_time(datagram.size) \
-            + medium.contention_penalty(datagram.src.host)
-        self.wait_timeout(service, self._sent)
-
-    def _sent(self, value):
-        medium = self.medium
-        self._release_cable()
-        datagram = self.datagram
-        medium._active_by_host[datagram.src.host] -= 1
-        stats = medium.stats
-        stats.datagrams_carried += 1
-        stats.bytes_carried += datagram.size
-        if medium.loss_probability \
-                and medium.loss_stream.bernoulli(medium.loss_probability):
-            stats.datagrams_lost += 1
-            self._finish(False)
-            return
-        target = medium._interfaces.get(datagram.dst.host)
-        if target is None:
-            stats.undeliverable += 1
-            self._finish(False)
-            return
-        target.receive(datagram)
-        self._finish(True)
-
-    def _release_cable(self):
-        medium = self.medium
-        cable = medium.cable
-        if cable.queue_length == 0:
-            medium.monitor.idle()
-        self._holding = False
-        if self._grant is None:
-            cable.release_slot()
-        else:
-            cable.release_quiet(self._grant)
-            self._grant = None
-
-    def _on_failure(self, exc):
-        # The generator's finally chain: idle check and release while
-        # holding, withdraw while queued, deregister either way.
-        medium = self.medium
-        if self._holding:
-            self._release_cable()
-        elif self._grant is not None:
-            medium.cable.release_quiet(self._grant)
-            self._grant = None
-        medium._active_by_host[self.datagram.src.host] -= 1
-        raise exc

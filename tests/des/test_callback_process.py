@@ -1,49 +1,47 @@
-"""CallbackProcess semantics: waits, holds, joins, failures, interrupts.
+"""Process composition without callback state machines.
 
-Every behaviour here is pinned against the generator ``Process``
-reference: same timestamps, same resource grant order, same failure
-propagation.  The mode A/B on the full §5 model lives in
-tests/sim/test_process_modes.py; this file covers the kernel primitive
-in isolation.
+The kernel once had a second kind of process, hand-written callback
+state machines, for its hottest loops.  Generator processes now carry
+the same event savers, and these tests pin the guarantees that kind
+gave:
+
+* immediate start (``env.process(gen, immediate=True)``) runs a
+  process's first segment inside the caller's dispatch;
+* inline completion: with no monitor attached, a finishing process
+  resumes its waiters without a completion event;
+* :meth:`~repro.des.resources.Resource.hold` contends exactly like a
+  ``with resource.request()`` hold;
+* a join is a parent yielding each of its children in turn.
+
+The test names keep that history's vocabulary: a "callback process" is
+an immediately started process, "adopt/join" is a parent yielding its
+children, and a "state" is one segment of a process.
 """
 
 import pytest
 
-from repro.des import (
-    CallbackProcess,
-    Environment,
-    Interrupt,
-    Resource,
-    UtilizationMonitor,
-)
+from repro.des import Environment, Interrupt, Resource, UtilizationMonitor
 
 
-class Stepper(CallbackProcess):
+def stepper(env, log):
     """Waits two timeouts, then finishes with a value."""
+    log.append(("start", env.now))
+    yield env.timeout(1.0)
+    log.append(("mid", env.now))
+    yield env.timeout(2.0)
+    log.append(("end", env.now))
+    return "done"
 
-    __slots__ = ("log",)
 
-    def __init__(self, env, log, immediate=False):
-        self.log = log
-        super().__init__(env, immediate=immediate)
-
-    def _start(self, value):
-        self.log.append(("start", self.env.now))
-        self.wait(self.env.timeout(1.0), self._mid)
-
-    def _mid(self, value):
-        self.log.append(("mid", self.env.now))
-        self.wait(self.env.timeout(2.0), self._end)
-
-    def _end(self, value):
-        self.log.append(("end", self.env.now))
-        self._finish("done")
+def sleeper(env, delay, value=None):
+    yield env.timeout(delay)
+    return value
 
 
 def test_states_advance_through_timeouts():
     env = Environment()
     log = []
-    process = Stepper(env, log)
+    process = env.process(stepper(env, log), immediate=True)
     env.run()
     assert log == [("start", 0.0), ("mid", 1.0), ("end", 3.0)]
     assert not process.is_alive
@@ -58,7 +56,7 @@ def test_generator_process_can_wait_on_callback_process():
         value = yield target
         results.append((value, env.now))
 
-    target = Stepper(env, [])
+    target = env.process(stepper(env, []), immediate=True)
     env.process(waiter(env, target))
     env.run()
     assert results == [("done", 3.0)]
@@ -68,21 +66,11 @@ def test_callback_process_can_wait_on_generator_process():
     env = Environment()
     log = []
 
-    def child(env):
-        yield env.timeout(2.5)
-        return "child-done"
+    def parent(env):
+        value = yield env.process(sleeper(env, 2.5, "child-done"))
+        log.append((value, env.now))
 
-    class Parent(CallbackProcess):
-        __slots__ = ()
-
-        def _start(self, value):
-            self.wait(env.process(child(env)), self._got)
-
-        def _got(self, value):
-            log.append((value, self.env.now))
-            self._finish()
-
-    Parent(env)
+    env.process(parent(env), immediate=True)
     env.run()
     assert log == [("child-done", 2.5)]
 
@@ -90,27 +78,29 @@ def test_callback_process_can_wait_on_generator_process():
 def test_start_order_follows_creation_order():
     env = Environment()
     log = []
-    Stepper(env, log)
-    second = []
-    Stepper(env, second)
+
+    def starter(env, name):
+        log.append(name)
+        yield env.timeout(0.0)
+
+    env.process(starter(env, "first"))
+    env.process(starter(env, "second"))
+    assert log == []  # deferred: both start from the calendar
     env.run()
-    # Both started at t=0; the first-created dispatched first.  The log
-    # proves it observed time first (identical here), so pin via the
-    # init-event ordering instead: interleave a marker.
-    assert log[0] == ("start", 0.0) and second[0] == ("start", 0.0)
+    assert log == ["first", "second"]
 
 
 def test_immediate_start_runs_inside_constructor():
     env = Environment()
     log = []
-    Stepper(env, log, immediate=True)
+    env.process(stepper(env, log), immediate=True)
     assert log == [("start", 0.0)]  # before env.run()
     env.run()
     assert log == [("start", 0.0), ("mid", 1.0), ("end", 3.0)]
 
 
 def test_hold_matches_generator_hold_timing_and_queueing():
-    """A callback hold and a generator hold contend identically."""
+    """A Resource.hold and a with-block hold contend identically."""
 
     def run(order):
         env = Environment()
@@ -118,39 +108,31 @@ def test_hold_matches_generator_hold_timing_and_queueing():
         monitor = UtilizationMonitor(env)
         log = []
 
-        def generator_hold(env):
+        def with_block_hold(env):
             with resource.request() as grant:
                 yield grant
                 monitor.busy()
                 yield env.timeout(1.0)
                 if resource.queue_length == 0:
                     monitor.idle()
-            log.append(("gen", env.now))
+            log.append(("with", env.now))
 
-        class CallbackHold(CallbackProcess):
-            __slots__ = ()
-
-            def _start(self, value):
-                self.hold(resource, 1.0, self._held, monitor=monitor)
-
-            def _held(self, value):
-                log.append(("cb", env.now))
-                self._finish()
+        def token_hold(env):
+            yield from resource.hold(1.0, monitor)
+            log.append(("hold", env.now))
 
         for kind in order:
-            if kind == "gen":
-                env.process(generator_hold(env))
-            else:
-                CallbackHold(env)
+            env.process(with_block_hold(env) if kind == "with"
+                        else token_hold(env))
         env.run()
-        return log, monitor.utilization() if env.now else None, env.now
+        return log, monitor.busy_time, env.now
 
-    log, _, now = run(["gen", "cb"])
-    assert log == [("gen", 1.0), ("cb", 2.0)]
-    assert now == 2.0
-    log, _, now = run(["cb", "gen"])
-    assert log == [("cb", 1.0), ("gen", 2.0)]
-    assert now == 2.0
+    log, busy, now = run(["with", "hold"])
+    assert log == [("with", 1.0), ("hold", 2.0)]
+    assert (busy, now) == (2.0, 2.0)
+    log, busy, now = run(["hold", "with"])
+    assert log == [("hold", 1.0), ("with", 2.0)]
+    assert (busy, now) == (2.0, 2.0)
 
 
 def test_hold_priority_orders_grants():
@@ -158,60 +140,32 @@ def test_hold_priority_orders_grants():
     resource = Resource(env, capacity=1)
     log = []
 
-    class Holder(CallbackProcess):
-        __slots__ = ("name", "priority")
+    def holder(env, name, priority):
+        yield from resource.hold(1.0, priority=priority)
+        log.append(name)
 
-        def __init__(self, env, name, priority):
-            self.name = name
-            self.priority = priority
-            super().__init__(env)
-
-        def _start(self, value):
-            self.hold(resource, 1.0, self._held, priority=self.priority)
-
-        def _held(self, value):
-            log.append(self.name)
-            self._finish()
-
-    Holder(env, "low", 5.0)
-    Holder(env, "high", 1.0)
-    Holder(env, "mid", 3.0)
+    env.process(holder(env, "low", 5.0))
+    env.process(holder(env, "high", 1.0))
+    env.process(holder(env, "mid", 3.0))
     env.run()
     # First grant is FIFO (uncontended when "low" requested); the queue
     # then orders by priority.
     assert log == ["low", "high", "mid"]
+    assert resource.count == 0 and resource.queue_length == 0
 
 
 def test_adopt_join_counts_children():
     env = Environment()
     finished = []
 
-    class Child(CallbackProcess):
-        __slots__ = ("delay",)
+    def parent(env):
+        children = [env.process(sleeper(env, delay), immediate=True)
+                    for delay in (3.0, 1.0, 2.0)]
+        for child in children:
+            yield child
+        finished.append(env.now)
 
-        def __init__(self, env, delay):
-            self.delay = delay
-            super().__init__(env)
-
-        def _start(self, value):
-            self.wait(self.env.timeout(self.delay), self._end)
-
-        def _end(self, value):
-            self._finish(self.delay)
-
-    class Parent(CallbackProcess):
-        __slots__ = ()
-
-        def _start(self, value):
-            for delay in (3.0, 1.0, 2.0):
-                self.adopt(Child(self.env, delay))
-            self.join(self._all_done)
-
-        def _all_done(self, value):
-            finished.append(self.env.now)
-            self._finish()
-
-    Parent(env)
+    env.process(parent(env))
     env.run()
     assert finished == [3.0]
 
@@ -220,68 +174,46 @@ def test_join_with_no_children_runs_inline():
     env = Environment()
     log = []
 
-    class Parent(CallbackProcess):
-        __slots__ = ()
+    def parent(env):
+        for child in []:
+            yield child
+        log.append(env.now)
+        return "joined"
 
-        def _start(self, value):
-            self.join(self._all_done)
-
-        def _all_done(self, value):
-            log.append(self.env.now)
-            self._finish()
-
-    Parent(env)
-    env.run()
+    process = env.process(parent(env), immediate=True)
+    # Started and finished inside the constructor: no event at all.
     assert log == [0.0]
+    assert process.processed and process.value == "joined"
 
 
 def test_adopting_finished_child_does_not_block_join():
     env = Environment()
     log = []
 
-    class Child(CallbackProcess):
-        __slots__ = ()
+    def early(env):
+        return "early"
+        yield  # pragma: no cover - makes this a generator
 
-        def _start(self, value):
-            self._finish("early")
+    child = env.process(early(env), immediate=True)
+    assert child.processed  # finished before anything ran
 
-    class Parent(CallbackProcess):
-        __slots__ = ("child",)
+    def parent(env):
+        yield env.timeout(1.0)
+        value = yield child
+        log.append((value, env.now))
 
-        def __init__(self, env, child):
-            self.child = child
-            super().__init__(env)
-
-        def _start(self, value):
-            # The child finished at t=0 before our init event dispatched.
-            self.wait(self.env.timeout(1.0), self._later)
-
-        def _later(self, value):
-            self.adopt(self.child)
-            self.join(self._all_done)
-
-        def _all_done(self, value):
-            log.append(self.env.now)
-            self._finish()
-
-    child = Child(env)
-    Parent(env, child)
+    env.process(parent(env))
     env.run()
-    assert log == [1.0]
+    assert log == [("early", 1.0)]
 
 
 def test_state_exception_fails_process_and_propagates_to_waiter():
     env = Environment()
     caught = []
 
-    class Exploder(CallbackProcess):
-        __slots__ = ()
-
-        def _start(self, value):
-            self.wait(self.env.timeout(1.0), self._boom)
-
-        def _boom(self, value):
-            raise ValueError("state failed")
+    def exploder(env):
+        yield env.timeout(1.0)
+        raise ValueError("state failed")
 
     def waiter(env, target):
         try:
@@ -289,7 +221,7 @@ def test_state_exception_fails_process_and_propagates_to_waiter():
         except ValueError as exc:
             caught.append(str(exc))
 
-    env.process(waiter(env, Exploder(env)))
+    env.process(waiter(env, env.process(exploder(env), immediate=True)))
     env.run()
     assert caught == ["state failed"]
 
@@ -297,13 +229,11 @@ def test_state_exception_fails_process_and_propagates_to_waiter():
 def test_unwaited_failure_raises_from_run():
     env = Environment()
 
-    class Exploder(CallbackProcess):
-        __slots__ = ()
+    def exploder(env):
+        raise RuntimeError("nobody caught this")
+        yield  # pragma: no cover - makes this a generator
 
-        def _start(self, value):
-            raise RuntimeError("nobody caught this")
-
-    Exploder(env)
+    env.process(exploder(env), immediate=True)
     with pytest.raises(RuntimeError, match="nobody caught this"):
         env.run()
 
@@ -312,109 +242,73 @@ def test_child_failure_fails_joining_parent():
     env = Environment()
     caught = []
 
-    class BadChild(CallbackProcess):
-        __slots__ = ()
+    def bad_child(env):
+        yield env.timeout(1.0)
+        raise ValueError("child failed")
 
-        def _start(self, value):
-            self.wait(self.env.timeout(1.0), self._boom)
-
-        def _boom(self, value):
-            raise ValueError("child failed")
-
-    class Parent(CallbackProcess):
-        __slots__ = ()
-
-        def _start(self, value):
-            self.adopt(BadChild(self.env))
-            self.join(self._all_done)
-
-        def _all_done(self, value):  # pragma: no cover - must not run
-            raise AssertionError("join fired despite child failure")
+    def parent(env):
+        children = [env.process(bad_child(env), immediate=True),
+                    env.process(sleeper(env, 2.0), immediate=True)]
+        for child in children:
+            yield child
+        raise AssertionError("join finished despite child failure")
 
     def waiter(env, target):
         try:
             yield target
         except ValueError as exc:
-            caught.append(str(exc))
+            caught.append((str(exc), env.now))
 
-    env.process(waiter(env, Parent(env)))
+    env.process(waiter(env, env.process(parent(env))))
     env.run()
-    assert caught == ["child failed"]
+    assert caught == [("child failed", 1.0)]
 
 
 def test_interrupt_delivers_and_default_handler_fails_process():
     env = Environment()
-
-    class Sleeper(CallbackProcess):
-        __slots__ = ()
-
-        def _start(self, value):
-            self.wait(self.env.timeout(100.0), self._end)
-
-        def _end(self, value):  # pragma: no cover - interrupted first
-            self._finish()
-
-    sleeper = Sleeper(env)
+    sleeping = env.process(sleeper(env, 100.0), immediate=True)
 
     def interrupter(env):
         yield env.timeout(1.0)
-        sleeper.interrupt("wake up")
+        sleeping.interrupt("wake up")
 
     env.process(interrupter(env))
     with pytest.raises(Interrupt):
         env.run()
     assert env.now == 1.0
-    assert not sleeper.is_alive
+    assert not sleeping.is_alive
 
 
 def test_interrupt_handler_can_recover():
     env = Environment()
     log = []
 
-    class Sleeper(CallbackProcess):
-        __slots__ = ()
+    def recovering(env):
+        try:
+            yield env.timeout(100.0)
+        except Interrupt as interrupt:
+            log.append((interrupt.cause, env.now))
+            return "recovered"
 
-        def _start(self, value):
-            self.wait(self.env.timeout(100.0), self._end)
-
-        def _on_failure(self, exc):
-            if isinstance(exc, Interrupt):
-                log.append((exc.cause, self.env.now))
-                self._finish("recovered")
-                return
-            raise exc
-
-        def _end(self, value):  # pragma: no cover - interrupted first
-            self._finish()
-
-    sleeper = Sleeper(env)
+    sleeping = env.process(recovering(env), immediate=True)
 
     def interrupter(env):
         yield env.timeout(1.0)
-        sleeper.interrupt("wake up")
+        sleeping.interrupt("wake up")
 
     env.process(interrupter(env))
     env.run()
     assert log == [("wake up", 1.0)]
-    assert sleeper.value == "recovered"
+    assert sleeping.value == "recovered"
 
 
 def test_silent_completion_still_observable_as_processed():
     env = Environment()
-
-    class Quiet(CallbackProcess):
-        __slots__ = ()
-
-        def _start(self, value):
-            self.wait(self.env.timeout(1.0), self._end)
-
-        def _end(self, value):
-            self._finish("quiet")
-
-    quiet = Quiet(env)
+    quiet = env.process(sleeper(env, 1.0, "quiet"), immediate=True)
     env.run()
-    # Nobody waited and no monitors were attached: the completion event
-    # was skipped, but the processed state and value are intact.
+    # Nobody waited and no monitors were attached: no completion event
+    # was scheduled, but the processed state and value are intact.
+    assert env._eid == 1  # the timeout alone
     assert quiet.processed
     assert quiet.value == "quiet"
 
@@ -423,114 +317,35 @@ def test_completion_event_scheduled_when_monitored():
     env = Environment()
     seen = []
     env.add_step_monitor(lambda when, event: seen.append(event))
-
-    class Quiet(CallbackProcess):
-        __slots__ = ()
-
-        def _start(self, value):
-            self._finish("watched")
-
-    quiet = Quiet(env)
+    watched = env.process(sleeper(env, 0.0, "watched"), immediate=True)
     env.run()
-    assert quiet in seen  # completion went through the calendar
-    assert quiet.value == "watched"
+    assert watched in seen  # completion went through the calendar
+    assert watched.value == "watched"
 
 
 def test_active_process_is_set_during_states():
     env = Environment()
     observed = []
 
-    class Observer(CallbackProcess):
-        __slots__ = ()
+    def child(env):
+        observed.append(("child", env.active_process))
+        yield env.timeout(1.0)
+        observed.append(("child", env.active_process))
 
-        def _start(self, value):
-            observed.append(env.active_process)
-            self._finish()
+    def parent(env):
+        observed.append(("parent", env.active_process))
+        kid = env.process(child(env), immediate=True)
+        # The immediate start ran inside this segment and handed the
+        # active process back.
+        observed.append(("parent", env.active_process))
+        yield kid
+        observed.append(("parent", env.active_process))
+        return kid
 
-    process = Observer(env)
+    parent_process = env.process(parent(env))
     env.run()
-    assert observed == [process]
+    kid = parent_process.value
+    assert observed == [("parent", parent_process), ("child", kid),
+                        ("parent", parent_process), ("child", kid),
+                        ("parent", parent_process)]
     assert env.active_process is None
-
-
-def test_timeout_at_lands_on_exact_accumulated_float():
-    env = Environment()
-    steps = [0.1, 0.2, 0.30000000000000004, 0.7]
-
-    def reference(env):
-        for step in steps:
-            yield env.timeout(step)
-        return env.now
-
-    ref = env.process(reference(env))
-    env.run()
-    expected = ref.value
-
-    env2 = Environment()
-    when = env2.now
-    for step in steps:
-        when += step
-    fired = []
-    env2.timeout_at(when).callbacks.append(
-        lambda event: fired.append(env2.now))
-    env2.run()
-    assert fired == [expected]
-
-
-def test_timeout_at_rejects_past():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(1.0)
-        env.timeout_at(0.5)
-
-    env.process(proc(env))
-    with pytest.raises(ValueError):
-        env.run()
-
-
-def test_span_coalescing_gate_follows_monitors():
-    env = Environment()
-    assert env.span_coalescing
-    probe = lambda *args, **kwargs: None
-    env.add_transfer_monitor(probe)
-    assert not env.span_coalescing
-    env.remove_transfer_monitor(probe)
-    assert env.span_coalescing
-    env.add_alias_monitor(probe)
-    assert not env.span_coalescing
-    env.remove_alias_monitor(probe)
-    env.add_step_monitor(probe)
-    assert not env.span_coalescing
-    env.remove_step_monitor(probe)
-    assert env.span_coalescing
-    env.tie_break_seed = 7
-    assert not env.span_coalescing
-    env.tie_break_seed = None
-    assert env.span_coalescing
-    assert not Environment(cohort_dispatch=False).span_coalescing
-
-
-def test_release_quiet_regrants_and_recycles():
-    env = Environment()
-    resource = Resource(env, capacity=1)
-    granted = []
-
-    def holder(env):
-        request = resource.request()
-        yield request
-        granted.append(env.now)
-        yield env.timeout(1.0)
-        resource.release_quiet(request)
-
-    def waiter(env):
-        with resource.request() as grant:
-            yield grant
-            granted.append(env.now)
-            yield env.timeout(1.0)
-
-    env.process(holder(env))
-    env.process(waiter(env))
-    env.run()
-    assert granted == [0.0, 1.0]
-    assert resource.count == 0 and resource.queue_length == 0

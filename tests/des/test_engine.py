@@ -334,3 +334,61 @@ def test_cohort_reset_clears_ready_deque():
     env.step()
     env.reset()
     assert not env._ready and not env._queue and env.now == 0.0
+
+
+def test_timeout_at_lands_on_exact_accumulated_float():
+    env = Environment()
+    steps = [0.1, 0.2, 0.30000000000000004, 0.7]
+
+    def reference(env):
+        for step in steps:
+            yield env.timeout(step)
+        return env.now
+
+    ref = env.process(reference(env))
+    env.run()
+    expected = ref.value
+
+    env2 = Environment()
+    when = env2.now
+    for step in steps:
+        when += step
+    fired = []
+    env2.timeout_at(when).callbacks.append(
+        lambda event: fired.append(env2.now))
+    env2.run()
+    assert fired == [expected]
+
+
+def test_timeout_at_rejects_past():
+    env = Environment()
+
+    def proc(env):
+        yield env.timeout(1.0)
+        env.timeout_at(0.5)
+
+    env.process(proc(env))
+    with pytest.raises(ValueError):
+        env.run()
+
+
+def test_span_coalescing_gate_follows_monitors():
+    env = Environment()
+    assert env.span_coalescing
+    probe = lambda *args, **kwargs: None
+    env.add_transfer_monitor(probe)
+    assert not env.span_coalescing
+    env.remove_transfer_monitor(probe)
+    assert env.span_coalescing
+    env.add_alias_monitor(probe)
+    assert not env.span_coalescing
+    env.remove_alias_monitor(probe)
+    env.add_step_monitor(probe)
+    assert not env.span_coalescing
+    env.remove_step_monitor(probe)
+    assert env.span_coalescing
+    env.tie_break_seed = 7
+    assert not env.span_coalescing
+    env.tie_break_seed = None
+    assert env.span_coalescing
+    assert not Environment(cohort_dispatch=False).span_coalescing

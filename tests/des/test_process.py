@@ -204,3 +204,87 @@ def test_two_processes_interleave():
         ("fast", 1.0), ("slow", 2.0), ("fast", 2.0),
         ("fast", 3.0), ("slow", 4.0), ("slow", 6.0),
     ]
+
+
+def test_immediate_process_starts_in_the_callers_dispatch():
+    env = Environment()
+    log = []
+
+    def child(env):
+        log.append(("child starts", env.now))
+        yield env.timeout(1.0)
+
+    def parent(env):
+        yield env.timeout(2.0)
+        before = env._eid
+        env.process(child(env), immediate=True)
+        log.append(("parent continues", env.now))
+        # The child's timeout is the only event: no initialisation event.
+        assert env._eid - before == 1
+        yield env.timeout(0.0)
+
+    env.process(parent(env))
+    env.run()
+    assert log == [("child starts", 2.0), ("parent continues", 2.0)]
+
+
+def _completion_events(monitored: bool):
+    """(value, time, events scheduled between yield and resume)."""
+    env = Environment()
+    seen = []
+    steps = []
+    if monitored:
+        env.add_step_monitor(lambda when, event: steps.append(event))
+
+    def child(env):
+        yield env.timeout(1.0)
+        return "ok"
+
+    def parent(env):
+        proc = env.process(child(env), immediate=True)
+        before = env._eid
+        value = yield proc
+        seen.append((value, env.now, env._eid - before))
+        return proc
+
+    parent_process = env.process(parent(env))
+    env.run()
+    return seen, parent_process.value in steps
+
+
+def test_inline_completion_resumes_waiter_without_an_event():
+    seen, completion_popped = _completion_events(monitored=False)
+    assert seen == [("ok", 1.0, 0)]
+    assert not completion_popped
+
+
+def test_monitored_completion_goes_through_the_calendar():
+    seen, completion_popped = _completion_events(monitored=True)
+    assert seen == [("ok", 1.0, 1)]
+    assert completion_popped
+
+
+def test_run_until_process_stops_from_the_calendar():
+    # The stop callback is never run inline: every other waiter of the
+    # event that finished the process still resumes before run() returns.
+    env = Environment()
+    gate = env.event()
+    resumed = []
+
+    def target(env):
+        yield gate
+        return "stop"
+
+    def bystander(env):
+        yield gate
+        resumed.append(env.now)
+
+    def opener(env):
+        yield env.timeout(1.0)
+        gate.succeed()
+
+    proc = env.process(target(env))
+    env.process(bystander(env))
+    env.process(opener(env))
+    assert env.run(until=proc) == "stop"
+    assert resumed == [1.0]

@@ -320,3 +320,64 @@ def test_store_invalid_capacity():
     env = Environment()
     with pytest.raises(ValueError):
         Store(env, capacity=0)
+
+
+def test_release_quiet_regrants_and_recycles():
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    granted = []
+
+    def holder(env):
+        request = resource.request()
+        yield request
+        granted.append(env.now)
+        yield env.timeout(1.0)
+        resource.release_quiet(request)
+        # Granted, processed and released: back in the request pool.
+        assert env._request_pool[-1] is request
+
+    def waiter(env):
+        with resource.request() as grant:
+            yield grant
+            granted.append(env.now)
+            yield env.timeout(1.0)
+
+    env.process(holder(env))
+    env.process(waiter(env))
+    env.run()
+    assert granted == [0.0, 1.0]
+    assert resource.count == 0 and resource.queue_length == 0
+
+
+def test_hold_uncontended_costs_one_event():
+    # A token grant and a quiet release: the timeout is the only
+    # calendar entry an uncontended, unmonitored hold makes.
+    env = Environment()
+    resource = Resource(env)
+
+    def proc(env):
+        before = env._eid
+        yield from resource.hold(2.0)
+        assert env._eid - before == 1
+        assert resource.count == 0
+
+    env.process(proc(env))
+    env.run()
+    assert env.now == 2.0
+
+
+def test_hold_under_resource_monitor_notifies_acquire_and_release():
+    env = Environment()
+    resource = Resource(env)
+    actions = []
+    env.add_resource_monitor(
+        lambda action, res, request: actions.append(action))
+
+    def proc(env):
+        yield from resource.hold(1.0)
+
+    env.process(proc(env))
+    env.process(proc(env))
+    env.run()
+    assert actions == ["acquire", "release", "acquire", "release"]
+    assert env.now == 2.0

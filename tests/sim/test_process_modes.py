@@ -1,19 +1,25 @@
-"""Process execution modes: the callback fast path is an execution
-detail, not a model change.
+"""Execution paths of the one process model: the fast path is an
+execution detail, not a model change.
 
-``SwiftSimModel(process_mode="callback")`` (the default) runs the
-per-request hot loops as slotted state machines with quiet releases,
-inline joins, pooled timeouts and — when no monitor forbids it —
-event-span coalescing of the deterministic disk chains.
-``process_mode="generator"`` is the yield-based reference.  These tests
-pin the two contracts docs/ARCHITECTURE.md states:
+``SwiftSimModel`` runs its request path on generator processes with
+token grants, immediate start, inline completion and — when no monitor
+forbids it — span coalescing of the deterministic disk chains.  A step
+monitor switches every saver off and expands the run to its full event
+sequence.  These tests pin the two contracts docs/ARCHITECTURE.md
+states:
 
-* **bit identity** — every SimResult field is equal between modes, for
-  read-heavy, write-heavy, real-time and reference-scheduler shapes;
+* **bit identity** — every SimResult field is equal between the fast
+  path and the expanded one, for read-heavy, write-heavy, real-time and
+  reference-scheduler shapes (tests/sim/test_golden_results.py pins
+  both against results recorded before the rewrite);
 * **monitor-gated fallback** — with any monitor attached (HB detector,
   sanitizers, conservation ledger, schedule tracing) the coalesced
   paths expand to the full reference event sequence, the monitors stay
   green, and the result is *still* bit-identical.
+
+The test names keep the vocabulary of the two process modes this model
+replaced: "callback" is the fast path and "generator" the expanded
+reference.  ``process_mode`` itself is gone.
 """
 
 import dataclasses
@@ -46,9 +52,11 @@ SHAPES = [FIG3_SHAPE, FIG5_SHAPE, REALTIME_SHAPE]
 SHAPE_IDS = ["fig3", "fig5", "realtime"]
 
 
-def _run(config, process_mode, cohort_dispatch=True):
-    return SwiftSimModel(config, cohort_dispatch=cohort_dispatch,
-                         process_mode=process_mode).run()
+def _run(config, mode="callback", cohort_dispatch=True):
+    model = SwiftSimModel(config, cohort_dispatch=cohort_dispatch)
+    if mode == "generator":
+        model.env.add_step_monitor(lambda when, event: None)
+    return model.run()
 
 
 @pytest.fixture(params=list(zip(SHAPES, SHAPE_IDS)), ids=SHAPE_IDS)
@@ -57,8 +65,9 @@ def shape(request):
 
 
 def test_mode_must_be_known():
-    with pytest.raises(ValueError, match="process_mode"):
-        SwiftSimModel(FIG3_SHAPE, process_mode="threads")
+    # One process model: there is no mode left to choose.
+    with pytest.raises(TypeError, match="process_mode"):
+        SwiftSimModel(FIG3_SHAPE, process_mode="callback")
 
 
 def test_callback_matches_generator_bit_identical(shape):
@@ -67,8 +76,8 @@ def test_callback_matches_generator_bit_identical(shape):
 
 def test_callback_identical_under_reference_scheduler(shape):
     # cohort_dispatch=False forces the one-heap reference scheduler and
-    # (with it) disables span coalescing; the callback machines must
-    # expand their chains and still land on the reference result.
+    # (with it) disables span coalescing; the request path must expand
+    # its chains and still land on the reference result.
     reference = _run(shape, "generator")
     assert _run(shape, "callback", cohort_dispatch=False) == reference
 
@@ -78,7 +87,7 @@ def test_span_coalescing_expands_under_transfer_monitor():
     # span_coalescing off while leaving pooling on: the write path must
     # schedule every per-block event, and nothing else may move.
     reference = _run(FIG5_SHAPE, "generator")
-    model = SwiftSimModel(FIG5_SHAPE, process_mode="callback")
+    model = SwiftSimModel(FIG5_SHAPE)
     records = []
     model.env.add_transfer_monitor(lambda kind, **info:
                                    records.append(kind))
@@ -89,9 +98,9 @@ def test_span_coalescing_expands_under_transfer_monitor():
 def test_callback_expands_more_events_when_monitored():
     # The coalesced run condenses each deterministic k-block chain into
     # one calendar entry; a monitored run must expand them all again.
-    plain = SwiftSimModel(FIG5_SHAPE, process_mode="callback")
+    plain = SwiftSimModel(FIG5_SHAPE)
     plain_result = plain.run()
-    monitored = SwiftSimModel(FIG5_SHAPE, process_mode="callback")
+    monitored = SwiftSimModel(FIG5_SHAPE)
     steps = []
     monitored.env.add_step_monitor(lambda when, event: steps.append(when))
     assert monitored.run() == plain_result
@@ -99,7 +108,7 @@ def test_callback_expands_more_events_when_monitored():
 
 
 def test_hb_detector_green_on_callback_run():
-    model = SwiftSimModel(FIG3_SHAPE, process_mode="callback")
+    model = SwiftSimModel(FIG3_SHAPE)
     with detect_races(model.env) as detector:
         result = model.run()
     assert detector.races == []
@@ -107,18 +116,19 @@ def test_hb_detector_green_on_callback_run():
 
 
 def test_hb_detector_sees_callback_processes():
-    # The detector must key segments by the state machines themselves:
-    # a callback deployment's accesses may not all collapse into the
-    # anonymous "<callback phase>" bucket.
-    model = SwiftSimModel(FIG3_SHAPE, process_mode="callback")
+    # The detector must key segments by the request path's processes,
+    # immediately started ones included: their accesses may not all
+    # collapse into the anonymous "<callback phase>" bucket.
+    model = SwiftSimModel(FIG3_SHAPE)
     with detect_races(model.env) as detector:
         model.run()
     labels = set(detector._owner_labels.values())
-    assert any("Op" in label or "Agent" in label for label in labels), labels
+    for name in ("_request", "_agent_read", "_agent_write", "_send_block"):
+        assert any(name + " " in label for label in labels), (name, labels)
 
 
 def test_sanitizers_green_on_callback_run():
-    model = SwiftSimModel(FIG3_SHAPE, process_mode="callback")
+    model = SwiftSimModel(FIG3_SHAPE)
     with sanitize(model.env, model.streams):
         with alias_sanitize(model.env):
             result = model.run()
@@ -126,7 +136,7 @@ def test_sanitizers_green_on_callback_run():
 
 
 def test_conservation_ledger_green_on_callback_run():
-    model = SwiftSimModel(FIG5_SHAPE, process_mode="callback")
+    model = SwiftSimModel(FIG5_SHAPE)
     with conserve(model.env) as ledger:
         result = model.run()
     assert ledger.errors == []
@@ -136,13 +146,15 @@ def test_conservation_ledger_green_on_callback_run():
 @pytest.mark.parametrize("mode", ["callback", "generator"])
 def test_modes_are_schedule_invariant(mode):
     # Tie-break shuffles (which also force span expansion) must not
-    # move a single metric in either mode — the perturbation harness is
+    # move a single metric on either path — the perturbation harness is
     # what licenses the fast path's same-timestamp micro-reorderings.
     def scenario(tie_break_seed, trace):
         config = dataclasses.replace(FIG3_SHAPE, num_requests=30,
                                      warmup_requests=3,
                                      tie_break_seed=tie_break_seed)
-        model = SwiftSimModel(config, process_mode=mode)
+        model = SwiftSimModel(config)
+        if mode == "generator":
+            model.env.add_step_monitor(lambda when, event: None)
         trace.attach(model.env)
         metrics = dataclasses.asdict(model.run())
         metrics.pop("config")

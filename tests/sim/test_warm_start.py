@@ -6,14 +6,15 @@ counters — instead of re-constructing the object graph for every grid
 point.  These tests pin the contract: a warm-started run is
 indistinguishable from a cold one, for every field of the result, even
 after a saturated run that hit the horizon guard and left suspended
-processes behind (the case that forces warm_reset to finalize orphaned
-generators deterministically).
+processes behind (whose generators must be safe to reap at any time).
 """
 
 import dataclasses
+import gc
 
 import pytest
 
+from repro.des import Process
 from repro.sim.cache import RUN_ONLY_FIELDS, deployment_key
 from repro.sim.model import SwiftSimModel
 from repro.sim.sweep import find_max_sustainable, load_sweep
@@ -39,10 +40,10 @@ def test_warm_find_max_matches_cold():
 def test_saturated_then_light_matches_cold():
     # A rate of 500/s saturates the fleet, so the first run stops at the
     # horizon guard with requests still in flight; the light run that
-    # follows reuses the same components.  Regression pin for the
-    # orphaned-generator finalization in warm_reset: without it, the
-    # leftover processes' ``finally`` clauses fire mid-next-run at
-    # GC-determined moments and skew the utilization accounting.
+    # follows reuses the same components.  Regression pin for orphaned
+    # generators: had the leftover processes ``finally`` clauses, they
+    # would fire mid-next-run at GC-determined moments and skew the
+    # utilization accounting.
     rates = [500.0, 2.0]
     cold = load_sweep(BASE, rates)
     warm = load_sweep(BASE, rates, warm_start=True)
@@ -60,14 +61,16 @@ def test_repeated_warm_resets_stay_identical():
 
 
 def test_warm_callback_deployment_matches_cold_and_generator():
-    # Callback-mode state machines hold pooled timeouts and token grants
-    # at horizon stop; warm_reset must rewind all of it.  The warm rerun
-    # has to match both its own cold build and the generator reference.
+    # The fast path holds pooled timeouts and token grants at horizon
+    # stop; warm_reset must rewind all of it.  The warm rerun has to
+    # match both its own cold build and the fully expanded reference
+    # (a step monitor switches every event saver off).
     config = dataclasses.replace(BASE, arrival_rate=6.0)
-    reference = SwiftSimModel(config, process_mode="generator").run()
-    cold = SwiftSimModel(config, process_mode="callback").run()
-    assert cold == reference
-    model = SwiftSimModel(config, process_mode="callback")
+    expanded = SwiftSimModel(config)
+    expanded.env.add_step_monitor(lambda when, event: None)
+    reference = expanded.run()
+    assert SwiftSimModel(config).run() == reference
+    model = SwiftSimModel(config)
     for _ in range(3):
         assert model.run() == reference
         model.warm_reset(config)
@@ -75,10 +78,10 @@ def test_warm_callback_deployment_matches_cold_and_generator():
 
 
 def test_warm_saturated_callback_sweep_matches_cold():
-    # The orphaned-process case under the callback fast path: a
-    # saturated run stops at the horizon guard with state machines still
-    # holding spindles/CPUs (token grants, no request objects), then a
-    # light run reuses the same deployment.
+    # The orphaned-process case: a saturated run stops at the horizon
+    # guard with processes still holding spindles and CPUs (token
+    # grants, no request objects), then a light run reuses the same
+    # deployment.
     rates = [500.0, 2.0]
     def sweep(warm):
         results = []
@@ -88,10 +91,68 @@ def test_warm_saturated_callback_sweep_matches_cold():
             if warm and model is not None:
                 model.warm_reset(config)
             else:
-                model = SwiftSimModel(config, process_mode="callback")
+                model = SwiftSimModel(config)
             results.append(model.run())
         return results
     assert sweep(warm=True) == sweep(warm=False)
+
+
+def _resources(model) -> list:
+    resources = [model.ring.cable]
+    resources += [client.cpu for client in model.clients]
+    for host, disk in model.agents:
+        resources += [host.cpu, disk.resource]
+    return resources
+
+
+def _run_state(model) -> tuple:
+    """Every holder, waiter and monitor of the deployment, and the calendar."""
+    monitors = [model.ring.monitor] + [disk.monitor
+                                       for _, disk in model.agents]
+    env = model.env
+    return ([(list(r.users), list(r._waiting)) for r in _resources(model)],
+            [(m._busy_since, m._busy_total) for m in monitors],
+            (env._eid, list(env._queue), list(env._ready)))
+
+
+def _suspended_processes(model) -> list:
+    """Every process waiting on the calendar or a resource queue, and
+    every process waiting on one of those."""
+    env = model.env
+    pending = [entry[2] for entry in env._queue] + list(env._ready)
+    for resource in _resources(model):
+        pending += [entry[2] for entry in resource._waiting]
+    found = {}
+    while pending:
+        for callback in pending.pop().callbacks or ():
+            process = getattr(callback, "__self__", None)
+            if isinstance(process, Process) and id(process) not in found:
+                found[id(process)] = process
+                pending.append(process)
+    return list(found.values())
+
+
+def test_collecting_a_dead_runs_generators_changes_nothing():
+    # warm_reset needs no gc.collect() fence: a horizon-stopped run
+    # leaves suspended generators behind, and reaping them must run no
+    # cleanup against the deployment.  Clearing the calendar makes some
+    # unreachable; the rest stay reachable through resource queues
+    # until warm_reset, so they are closed by hand — closing is what
+    # the collector does to a generator it reaps.
+    config = dataclasses.replace(BASE, arrival_rate=500.0)
+    model = SwiftSimModel(config)
+    result = model.run()
+    assert result.completed < config.num_requests  # horizon-stopped
+    processes = _suspended_processes(model)
+    assert len(processes) > 10
+    model.env.reset()
+    before = _run_state(model)
+    assert any(users or waiting for users, waiting in before[0])
+    gc.collect()
+    assert _run_state(model) == before
+    for process in processes:
+        process._generator.close()
+    assert _run_state(model) == before
 
 
 def test_warm_reset_returns_same_object():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, RandomStream
+from repro.des import Environment, Interrupt, RandomStream
 from repro.simdisk import DISK_CATALOG, Disk, DiskSpec
 
 
@@ -136,3 +136,84 @@ def test_catalog_has_all_figure_disks():
     from repro.simdisk import FIGURE_5_6_DISKS
     for name in FIGURE_5_6_DISKS:
         assert name in DISK_CATALOG
+
+
+def _interrupted_access(victim_first: bool):
+    """Interrupt one access at t=10 ms, queued or holding the spindle.
+
+    Returns (disk, log) after the run; a second access ("other", two
+    blocks) shares the spindle.
+    """
+    env = Environment()
+    disk = Disk(env, DISK_CATALOG["Fujitsu M2372K"])  # deterministic
+    log = []
+
+    def other(env):
+        yield from disk.access(32 * 1024, blocks=2)
+        log.append(("other done", env.now))
+
+    def victim(env):
+        try:
+            yield from disk.access(32 * 1024)
+        except Interrupt:
+            log.append(("interrupted", env.now, disk.queue_length,
+                        disk.resource.count))
+
+    first, second = (victim, other) if victim_first else (other, victim)
+    processes = [env.process(first(env)), env.process(second(env))]
+    victim_process = processes[0] if victim_first else processes[1]
+
+    def interrupter(env):
+        yield env.timeout(0.01)
+        victim_process.interrupt("cancel")
+
+    env.process(interrupter(env))
+    env.run()
+    return disk, log
+
+
+def test_interrupt_while_queued_withdraws_the_request():
+    disk, log = _interrupted_access(victim_first=False)
+    block = DISK_CATALOG["Fujitsu M2372K"].mean_access_time(32 * 1024)
+    # Withdrawn at once; the holder keeps the spindle undisturbed.
+    assert log[0] == ("interrupted", 0.01, 0, 1)
+    assert log[1] == ("other done", pytest.approx(2 * block))
+    assert disk.blocks_served == 2
+    assert disk.resource.count == 0 and disk.queue_length == 0
+    assert disk.monitor.busy_time == pytest.approx(2 * block)
+
+
+def test_interrupt_while_holding_releases_the_spindle():
+    disk, log = _interrupted_access(victim_first=True)
+    block = DISK_CATALOG["Fujitsu M2372K"].mean_access_time(32 * 1024)
+    # Released at the interrupt; the waiter is granted the spindle then.
+    assert log[0] == ("interrupted", 0.01, 0, 1)
+    assert log[1] == ("other done", pytest.approx(0.01 + 2 * block))
+    assert disk.blocks_served == 2
+    assert disk.resource.count == 0 and disk.queue_length == 0
+    assert disk.monitor._busy_since is None
+    assert disk.monitor.busy_time == pytest.approx(0.01 + 2 * block)
+
+
+def test_interrupt_while_holding_alone_goes_idle():
+    env = Environment()
+    disk = Disk(env, DISK_CATALOG["Fujitsu M2372K"])
+
+    def victim(env):
+        try:
+            yield from disk.access(32 * 1024, blocks=4)
+        except Interrupt:
+            pass
+
+    process = env.process(victim(env))
+
+    def interrupter(env):
+        yield env.timeout(0.01)
+        process.interrupt()
+
+    env.process(interrupter(env))
+    env.run()
+    assert disk.resource.count == 0
+    assert disk.monitor._busy_since is None
+    assert disk.monitor.busy_time == pytest.approx(0.01)
+    assert disk.blocks_served == 0

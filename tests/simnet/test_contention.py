@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Environment, RandomStream
+from repro.des import Environment, Interrupt, RandomStream
 from repro.simnet import Address, Datagram, Ethernet, Host
 
 
@@ -75,3 +75,51 @@ def test_testbed_contention_flag():
     rate_contended = with_contention.measure_read("o", MB)
     assert rate_contended <= rate_plain
     assert rate_contended > 0.85 * rate_plain
+
+
+def _interrupted_transmit(victim_first: bool):
+    """Interrupt one transmission at t=0.5 ms, queued or on the cable."""
+    env = Environment()
+    ether = Ethernet(env)
+    log = []
+
+    def datagram(host):
+        return Datagram(src=Address(host, 1), dst=Address("nowhere", 2),
+                        size=1000)
+
+    def other(env):
+        yield from ether.transmit(datagram("a"))
+        log.append(("other done", env.now))
+
+    def victim(env):
+        try:
+            yield from ether.transmit(datagram("b"))
+        except Interrupt:
+            log.append(("interrupted", env.now, ether.cable.queue_length,
+                        ether.cable.count))
+
+    first, second = (victim, other) if victim_first else (other, victim)
+    processes = [env.process(first(env)), env.process(second(env))]
+    victim_process = processes[0] if victim_first else processes[1]
+
+    def interrupter(env):
+        yield env.timeout(0.0005)
+        victim_process.interrupt("cancel")
+
+    env.process(interrupter(env))
+    env.run()
+    return ether, log
+
+
+@pytest.mark.parametrize("victim_first", [False, True],
+                         ids=["queued", "holding"])
+def test_interrupted_transmit_cleans_up(victim_first):
+    ether, log = _interrupted_transmit(victim_first)
+    frame = ether.transmission_time(1000)
+    start = 0.0005 if victim_first else 0.0
+    assert log[0] == ("interrupted", 0.0005, 0, 1)
+    assert log[1] == ("other done", pytest.approx(start + frame))
+    assert ether.cable.count == 0 and ether.cable.queue_length == 0
+    assert ether.monitor._busy_since is None
+    assert ether._active_by_host == {"a": 0, "b": 0}
+    assert ether.stats.datagrams_carried == 1
