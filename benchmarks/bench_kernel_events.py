@@ -8,7 +8,7 @@ Beyond the pytest-benchmark numbers, this archives a machine-readable
 ``BENCH_kernel_events.json`` with events/second, p50/p95 per-step
 latency, and the throughput cost of installing the happens-before race
 detector — so CI (and the next optimization PR) can diff kernel
-performance without parsing console output.  The monitor hooks
+performance without parsing console output.  The observer hooks
 themselves are lists tested for truthiness in the hot loop, so the
 uninstalled cost is a single branch per event; the JSON records the
 measured detector-on/off ratio.

@@ -20,7 +20,7 @@ defence:
   ``yield`` as a preemption point (lost-update RMW spans, lock-order
   cycles); run with ``python -m repro check --races``.
 * :mod:`repro.check.hb` — dynamic happens-before race detection over a
-  live DES run, fed by the engine's monitor hooks.
+  live DES run, attached to the engine as an observer.
 * :mod:`repro.check.perturb` — the schedule-perturbation harness: rerun
   a scenario under K seeded same-(time, priority) shuffles and assert
   the metrics are bit-identical.
@@ -30,7 +30,7 @@ defence:
   expressions, inline ``*8``/``/8`` bit-byte factors and magic scale
   constants; run with ``python -m repro check --units``.
 * :mod:`repro.check.conserve` — a runtime byte-conservation ledger over
-  the striped data path, fed by the engine's transfer-monitor hook.
+  the striped data path, fed by the engine's ``on_transfer`` hook.
 * :mod:`repro.check.aliasing` — zero-copy safety lints: an AST dataflow
   analysis over view-producing expressions flagging borrowed views that
   escape their backing buffer's lifetime (``view-escape``), silent

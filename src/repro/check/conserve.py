@@ -4,8 +4,9 @@ Striping scatters a logical byte range over agents; parity adds a
 computed copy; the wire carries it all as packets.  Each hand-off is an
 opportunity to leak or double-count bytes, and such bugs corrupt every
 reported data-rate while leaving the protocol superficially healthy.
-This module keeps a **ledger** of one invariant per hand-off, fed by the
-engine's transfer-monitor hook (:meth:`Environment.add_transfer_monitor`):
+This module keeps a **ledger** of one invariant per hand-off; the ledger
+is an engine observer (:meth:`Environment.attach`) whose ``on_transfer``
+hook receives every data-path accounting event:
 
 * **striped writes** — the logical bytes of the request equal the sum of
   the per-agent region bytes plus the bytes deliberately skipped on
@@ -30,8 +31,8 @@ or the :func:`conserve` context manager::
     # raises ConservationError on any leak; ledger.errors lists them
 
 The instrumented emitters in :mod:`repro.core.distribution` fire only
-when a monitor is attached, so an un-sanitized run pays one falsy test
-per data-path event.
+when an ``on_transfer`` hook is attached, so an un-sanitized run pays
+one falsy test per data-path event.
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ class _OpRecord:
 
 
 class ConservationLedger:
-    """Byte ledger over the engine's transfer-monitor events.
+    """Byte ledger over the engine's ``on_transfer`` events.
 
-    ``events_observed`` counts every monitor callback, which is what the
+    ``events_observed`` counts every hook call, which is what the
     kernel-events benchmark uses to price the sanitizer's overhead.
     """
 
@@ -79,20 +80,15 @@ class ConservationLedger:
         self.ops: dict[str, _OpRecord] = {}
         self.errors: list[str] = []
         self.events_observed = 0
-        self._installed = False
 
     # -- lifecycle ----------------------------------------------------------
 
     def install(self) -> "ConservationLedger":
-        if not self._installed:
-            self.env.add_transfer_monitor(self._on_event)
-            self._installed = True
+        self.env.attach(self)
         return self
 
     def uninstall(self) -> None:
-        if self._installed:
-            self.env.remove_transfer_monitor(self._on_event)
-            self._installed = False
+        self.env.detach(self)
 
     @property
     def pending_ops(self) -> list[str]:
@@ -109,7 +105,7 @@ class ConservationLedger:
 
     # -- event intake --------------------------------------------------------
 
-    def _on_event(self, kind: str, **info) -> None:
+    def on_transfer(self, kind: str, **info) -> None:
         self.events_observed += 1
         handler = getattr(self, "_on_" + kind.replace("-", "_"), None)
         if handler is None:

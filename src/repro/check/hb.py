@@ -14,20 +14,20 @@ Such a pair is exactly what the schedule-perturbation harness
 (:mod:`repro.check.perturb`) would flip — this detector finds it in a
 single run and reports both stack traces.
 
-The happens-before relation is tracked with per-process vector clocks
-fed by the engine's monitor hooks:
+The happens-before relation is tracked with per-process vector clocks.
+The detector is one observer (:meth:`Environment.attach`) whose hooks
+feed them:
 
-* **scheduling** stamps every event with the logical clock of the
-  segment that scheduled it (:meth:`Environment.add_schedule_monitor`);
-* **stepping** joins a popped event's clock into every process it
-  resumes, and into anything scheduled from its callbacks
-  (:meth:`Environment.add_step_monitor`);
-* **resources** add a release→acquire edge so serialized holders are
-  ordered (:meth:`Environment.add_resource_monitor`).
+* ``on_schedule`` stamps every event with the logical clock of the
+  segment that scheduled it;
+* ``on_step`` joins a popped event's clock into every process it
+  resumes, and into anything scheduled from its callbacks;
+* ``on_resource`` adds a release→acquire edge so serialized holders are
+  ordered.
 
-Accesses come from the engine's access instrumentation (``Resource``
-queue mutations, ``Store`` puts/gets/purges) and from any stats
-accumulator handed to :meth:`RaceDetector.watch`.
+Accesses reach ``on_access`` from the engine's instrumentation
+(``Resource`` queue mutations, ``Store`` puts/gets/purges) and from any
+stats accumulator handed to :meth:`RaceDetector.watch`.
 
 Usage::
 
@@ -40,6 +40,7 @@ Usage::
 
 from __future__ import annotations
 
+import sys
 import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -73,6 +74,10 @@ _Stamp = tuple
 
 #: Pseudo-pid for the root segment (model setup, before the first step).
 _ROOT_PID = 0
+
+#: Code of the frame that runs a process segment; an immediately started
+#: process's spawner is that frame's ``previous`` local.
+_RESUME_CODE = Process._resume.__code__
 
 
 def _effective_get(stamp: _Stamp, pid: int) -> int:
@@ -197,32 +202,19 @@ class RaceDetector:
         self._history: dict[int, tuple] = {}
         self._watched: list[tuple] = []    # (obj, previous observer)
         self._obj_refs: list = []          # keeps history id() keys unique
-        self._installed = False
 
     # -- lifecycle ----------------------------------------------------------
 
     def install(self) -> None:
-        """Attach to the environment's monitor hooks."""
-        if self._installed:  # pragma: no cover - defensive
-            return
-        self.env.add_schedule_monitor(self._on_schedule)
-        self.env.add_step_monitor(self._on_step)
-        self.env.add_resource_monitor(self._on_resource)
-        self.env.add_access_monitor(self._on_access)
-        self._installed = True
+        """Attach to the environment as an observer."""
+        self.env.attach(self)
 
     def uninstall(self) -> None:
-        """Detach every hook and restore watched observers."""
-        if not self._installed:  # pragma: no cover - defensive
-            return
-        self.env.remove_schedule_monitor(self._on_schedule)
-        self.env.remove_step_monitor(self._on_step)
-        self.env.remove_resource_monitor(self._on_resource)
-        self.env.remove_access_monitor(self._on_access)
+        """Detach from the environment and restore watched observers."""
+        self.env.detach(self)
         for obj, previous in self._watched:
             obj.observer = previous
         self._watched.clear()
-        self._installed = False
 
     def watch(self, obj, label: Optional[str] = None) -> None:
         """Track accesses to a stats accumulator (anything exposing the
@@ -238,7 +230,7 @@ class RaceDetector:
         def hook(instance, _name=name, _previous=previous):
             if _previous is not None:
                 _previous(instance)
-            self._on_access(instance, _name, True)
+            self.on_access(instance, _name, True)
 
         obj.observer = hook
         self._watched.append((obj, previous))
@@ -281,10 +273,31 @@ class RaceDetector:
         pid = self._pid(process)
         own = self._clocks.get(pid)
         if own is None:
-            # The first segment of an immediately started process runs
-            # before any resume could seed its clock.
-            own = self._clocks[pid] = {pid: 1}
+            own = self._seed_immediate(process, pid)
         return ((own, pid, own[pid]),)
+
+    def _seed_immediate(self, process, pid: int) -> _Clock:
+        """First clock of an ``immediate=True`` process, mid first segment.
+
+        No event started it, so no resume seeded its clock: it inherits
+        the spawning segment's — the process its ``_resume`` frame will
+        restore, or the callback phase when that is None.  Reading the
+        frame keeps the unobserved spawn path free of bookkeeping.
+        """
+        frame = sys._getframe(1)
+        while not (frame.f_code is _RESUME_CODE
+                   and frame.f_locals["self"] is process):
+            frame = frame.f_back
+        spawner = frame.f_locals["previous"]
+        stamp = self._current
+        if spawner is not None:
+            spawner_pid = self._pid(spawner)
+            clock = (self._clocks.get(spawner_pid)
+                     or self._seed_immediate(spawner, spawner_pid))
+            stamp = ((clock, spawner_pid, clock[spawner_pid]),)
+        own = self._clocks[pid] = self._merged(stamp)
+        own[pid] = 1
+        return own
 
     @staticmethod
     def _merged(stamp: _Stamp) -> _Clock:
@@ -303,7 +316,7 @@ class RaceDetector:
                 merged[own_pid] = count
         return merged
 
-    def _on_schedule(self, event, active_process) -> None:
+    def on_schedule(self, event, active_process) -> None:
         stamp = self._segment_context()
         pending = self._pending_acquire
         if pending is not None and pending[0] is event:
@@ -313,7 +326,7 @@ class RaceDetector:
             self._pending_acquire = None
         event._hb_clock = stamp
 
-    def _on_step(self, when, event) -> None:
+    def on_step(self, when, event) -> None:
         stamp = getattr(event, "_hb_clock", None)
         if stamp is None:
             stamp = self._root_stamp
@@ -353,7 +366,7 @@ class RaceDetector:
                     joined[pid] = joined.get(pid, 0) + 1  # new segment
                     self._clocks[pid] = joined
 
-    def _on_resource(self, action: str, resource, request) -> None:
+    def on_resource(self, action: str, resource, request) -> None:
         if action == "release":
             resource._hb_release = self._segment_context()
         elif action == "acquire":
@@ -363,7 +376,7 @@ class RaceDetector:
 
     # -- conflict detection -------------------------------------------------
 
-    def _on_access(self, obj, label: str, is_write: bool) -> None:
+    def on_access(self, obj, label: str, is_write: bool) -> None:
         when = self.env.now
         snapshot = self._segment_context()
         # Records are plain tuples on the hot path; the AccessRecord

@@ -49,16 +49,16 @@ class ScheduleRaceError(AssertionError):
 
 
 class ScheduleTrace:
-    """Step-monitor recorder fingerprinting every processed event."""
+    """Step observer fingerprinting every processed event."""
 
     def __init__(self):
         self.fingerprints: list[tuple[float, str]] = []
 
     def attach(self, env) -> None:
         """Start recording ``env``'s schedule (idempotent per env)."""
-        env.add_step_monitor(self._on_step)
+        env.attach(self)
 
-    def _on_step(self, when: float, event) -> None:
+    def on_step(self, when: float, event) -> None:
         value = getattr(event, "_value", None)
         self.fingerprints.append(
             (when, f"{type(event).__name__}:{value!r}"[:80]))

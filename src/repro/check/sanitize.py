@@ -76,7 +76,7 @@ class StaleViewError(SanitizerError):
 
 
 class Sanitizer:
-    """The installed monitor set; created by :func:`sanitize`."""
+    """The installed checks, one engine observer; see :func:`sanitize`."""
 
     def __init__(self, env: "Environment",
                  streams: "Optional[StreamFactory]" = None,
@@ -105,6 +105,10 @@ class Sanitizer:
         self._drawers: dict[str, list] = {}
         self._shared_reported: set[str] = set()
         self._installed = False
+        # Engine hooks only for enabled checks: a disabled check must
+        # leave its fast paths on.
+        self.on_step = self._check_step if check_monotonicity else None
+        self.on_resource = self._track_resource if check_leaks else None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -112,10 +116,7 @@ class Sanitizer:
         """Attach to the environment (and streams, if given)."""
         if self._installed:  # pragma: no cover - defensive
             return
-        if self.check_monotonicity:
-            self.env.add_step_monitor(self._on_step)
-        if self.check_leaks:
-            self.env.add_resource_monitor(self._on_resource)
+        self.env.attach(self)
         if self.streams is not None and self.on_shared_stream != "ignore":
             self.streams.attach_observer(self._on_draw)
         self._installed = True
@@ -124,8 +125,7 @@ class Sanitizer:
         """Detach every hook (leaves collected state readable)."""
         if not self._installed:  # pragma: no cover - defensive
             return
-        self.env.remove_step_monitor(self._on_step)
-        self.env.remove_resource_monitor(self._on_resource)
+        self.env.detach(self)
         if self.streams is not None:
             self.streams.detach_observer()
         self._installed = False
@@ -142,7 +142,7 @@ class Sanitizer:
 
     # -- hook callbacks -----------------------------------------------------
 
-    def _on_step(self, when: float, event) -> None:
+    def _check_step(self, when: float, event) -> None:
         self._events_seen += 1
         if when < self.env.now or when < self._last_when:
             raise MonotonicityError(
@@ -150,7 +150,7 @@ class Sanitizer:
                 f"clock reached t={max(self.env.now, self._last_when):.9f}")
         self._last_when = when
 
-    def _on_resource(self, action: str, resource, request) -> None:
+    def _track_resource(self, action: str, resource, request) -> None:
         if action == "acquire":
             self._acquires += 1
             self._held[id(request)] = (resource, request)
@@ -469,10 +469,10 @@ class AliasSanitizer:
 
     **Install before ``env.run()``**: the drain loop binds the free
     lists to locals when it starts, so a mid-run install would watch the
-    wrong lists.  Unlike the determinism :class:`Sanitizer` this never
-    touches the step/schedule/resource monitor lists — the engine's
+    wrong lists.  Unlike the determinism :class:`Sanitizer` its only
+    engine hook is ``on_alias``, which leaves the engine's
     ``_unmonitored`` fast path (and therefore pooling, the very thing
-    under test) stays enabled and bit-identical.
+    under test) enabled and bit-identical.
     """
 
     _POOL_ATTRS = (("_timeout_pool", "Timeout"),
@@ -511,7 +511,7 @@ class AliasSanitizer:
                     event._stale = pool
             setattr(self.env, attr, pool)
             self._pools.append(pool)
-        self.env.add_alias_monitor(self._on_alias)
+        self.env.attach(self)
         self._installed = True
 
     def uninstall(self) -> None:
@@ -529,7 +529,7 @@ class AliasSanitizer:
             self._recycled_base += pool.recycled
             self._rearmed_base += pool.rearmed
         self._pools.clear()
-        self.env.remove_alias_monitor(self._on_alias)
+        self.env.detach(self)
         self._installed = False
 
     # -- pool hooks ---------------------------------------------------------
@@ -568,7 +568,7 @@ class AliasSanitizer:
         return GuardedView(state, buffer, 0, None, state.generation,
                            _capture_frames(self.stack_depth, skip=2))
 
-    def _on_alias(self, kind: str, buffer) -> None:
+    def on_alias(self, kind: str, buffer) -> None:
         state = self._buffers.get(id(buffer))
         if state is None:
             return

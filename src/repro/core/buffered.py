@@ -124,7 +124,7 @@ class BufferedSwiftFile:
             self._write_start = self._position
             self._write_buffer.extend(data)
         env = self._handle.engine.env
-        if env._alias_monitors:
+        if env._alias_hooks:
             # Views borrowed from the write buffer before this call are
             # now looking at moved bytes; let the aliasing sanitizer
             # advance the buffer's generation stamp.
@@ -146,7 +146,7 @@ class BufferedSwiftFile:
             start = self._write_start
             self._write_buffer = bytearray()
             env = self._handle.engine.env
-            if env._alias_monitors:
+            if env._alias_hooks:
                 # The buffer leaves this file's ownership at the swap:
                 # any view of it still held by a caller is now stale.
                 env._notify_alias("buffer-retire", payload)

@@ -166,10 +166,10 @@ class DistributionAgent:
     def _new_op(self, direction: str) -> Optional[str]:
         """A transfer id (``name#w3`` / ``name#r1``) when a ledger listens.
 
-        Emitting is gated on an attached transfer monitor, so the data
+        Emitting is gated on an attached ``on_transfer`` hook, so the data
         path pays one falsy test per call in normal runs.
         """
-        if not self.env._transfer_monitors:
+        if not self.env._transfer_hooks:
             return None
         return f"{self.object_name}#{direction}{next(self._transfer_ops)}"
 
@@ -427,7 +427,7 @@ class DistributionAgent:
             raise AgentFailure("parity agent failed during reconstruction")
         self.stats.reconstructed_units += 1
         rebuilt = reconstruct_unit(survivors, parity_payload, unit)
-        if self.env._transfer_monitors:
+        if self.env._transfer_hooks:
             # Emitted with op=None from rebuild paths too: the exact-size
             # invariant holds regardless of the owning operation.
             self.env._notify_transfer(

@@ -103,7 +103,7 @@ class Environment:
     current timestamp* (resource grants, releases, ``succeed()`` fan-out):
     they join the same-time cohort the engine is already draining.  With
     ``cohort_dispatch=True`` (the default) and no tie shuffle or schedule
-    monitors, those events skip the heap entirely — no key packing, no
+    hooks, those events skip the heap entirely — no key packing, no
     entry tuple, no sift — and land on an append-ordered ready deque.
     The drain order is provably the heap order: every ready entry carries
     a larger event id than every same-time heap entry (heap entries at
@@ -113,9 +113,10 @@ class Environment:
     priority, eid)`` exactly.  ``cohort_dispatch=False`` forces every
     event through the one-heap reference path — the A/B side of
     ``benchmarks/bench_kernel_batched.py``'s bit-identity check — and
-    attaching a schedule monitor or a tie-break seed disables the cohort
-    fast path implicitly, exactly as pooling is disabled, so detectors
-    always observe the fully ordered, individually dispatched engine.
+    attaching an ``on_schedule`` observer or a tie-break seed disables
+    the cohort fast path implicitly, exactly as pooling is disabled, so
+    detectors always observe the fully ordered, individually dispatched
+    engine.
     """
 
     #: Events scheduled with urgent priority run before normal events that
@@ -130,8 +131,8 @@ class Environment:
         self._queue: list = []
         # Same-timestamp cohort: events scheduled at the current time by
         # a fast path wait here in append (= eid) order instead of in the
-        # heap.  Only ever non-empty while _schedule_fast holds; a
-        # monitor attaching mid-run spills it back into the heap (see
+        # heap.  Only ever non-empty while _schedule_fast holds; an
+        # observer attaching mid-run spills it back into the heap (see
         # _refresh_fast_flags).
         self._ready: deque = deque()
         self._cohort = bool(cohort_dispatch)
@@ -142,27 +143,28 @@ class Environment:
         self._timeout_pool: list = []
         self._release_pool: list = []
         self._request_pool: list = []
-        # Monitoring hooks (repro.check.sanitize and repro.check.hb attach
-        # here).  All lists are empty in normal runs so the hot loop pays
-        # only a truthiness test per event.
-        self._step_monitors: list = []
-        self._resource_monitors: list = []
-        self._schedule_monitors: list = []
-        self._access_monitors: list = []
-        self._transfer_monitors: list = []
-        self._alias_monitors: list = []
+        # Observers (see attach()) and their hooks, one list per hook
+        # name.  All lists are empty in normal runs so each emitting
+        # site pays only a truthiness test.
+        self._observers: list = []
+        self._step_hooks: list = []
+        self._schedule_hooks: list = []
+        self._resource_hooks: list = []
+        self._access_hooks: list = []
+        self._transfer_hooks: list = []
+        self._alias_hooks: list = []
         # The setter below also caches the seed-dependent half of
         # tie_break_key so schedule() folds only the eid digits per event
         # (None = ties sort by raw eid, the default contract), and
         # refreshes the two derived fast-path flags:
         #   _schedule_fast — triggering code may push a
         #       (now+delay, _NORMAL_KEY_BASE+eid, event) entry directly,
-        #       bypassing schedule(): no shuffle, no schedule monitors.
-        #   _unmonitored — no step/schedule/resource/access monitors at
-        #       all, so event pooling and the inlined monitor-free
-        #       resource paths are allowed.
-        # Both are recomputed on every monitor attach/detach, turning
-        # several per-event list-truthiness tests into one slot read.
+        #       bypassing schedule(): no shuffle, no schedule hooks.
+        #   _unmonitored — no step/schedule/resource/access hooks at
+        #       all, so event pooling, token grants and inline process
+        #       completion are allowed.
+        # Both are recomputed on every attach/detach, turning several
+        # per-event list-truthiness tests into one slot read.
         self.tie_break_seed = tie_break_seed
 
     # -- clock ----------------------------------------------------------------
@@ -187,23 +189,23 @@ class Environment:
         """Recompute the cached hot-path gates (see __init__)."""
         self._schedule_fast = (self._cohort
                                and self._tie_seed_prefix is None
-                               and not self._schedule_monitors)
-        self._unmonitored = not (self._step_monitors
-                                 or self._schedule_monitors
-                                 or self._resource_monitors
-                                 or self._access_monitors)
+                               and not self._schedule_hooks)
+        self._unmonitored = not (self._step_hooks
+                                 or self._schedule_hooks
+                                 or self._resource_hooks
+                                 or self._access_hooks)
         # Event-span coalescing (a process replacing a chain of k
         # deterministic timeouts with one computed completion) demands
-        # the strictest gate of all: any observer — including the
-        # transfer ledger and the aliasing sanitizer, which deliberately
+        # the strictest gate of all: any hook — including the transfer
+        # ledger's and the aliasing sanitizer's, which deliberately
         # leave _unmonitored alone — must see the chain fully expanded,
         # event by event.
         self._span_fast = (self._schedule_fast
                            and self._unmonitored
-                           and not self._transfer_monitors
-                           and not self._alias_monitors)
+                           and not self._transfer_hooks
+                           and not self._alias_hooks)
         if not self._schedule_fast and self._ready:
-            # A monitor (or shuffle seed) arrived while a cohort was
+            # An observer (or shuffle seed) arrived while a cohort was
             # pending: spill it into the heap so the one-queue reference
             # path sees every event.  Fresh ids keep append order and
             # stay above every same-time key already in the heap.
@@ -225,7 +227,7 @@ class Environment:
 
         Clears the calendar, the ready cohort, the clock and the event-id
         counter so a re-seeded scenario replays exactly as on a brand-new
-        Environment.  Three things deliberately survive: monitor hooks
+        Environment.  Three things deliberately survive: observers
         and the tie-break seed (attachment state the caller owns), and
         the event free lists (pooling is result-neutral — bit-identity
         with pooling on/off is pinned by the PR 4 tests — so retained
@@ -239,137 +241,66 @@ class Environment:
         self._eid = 0
         self._active_process = None
 
-    # -- monitoring hooks ---------------------------------------------------
+    # -- observers ----------------------------------------------------------
 
-    def add_step_monitor(self, callback) -> None:
-        """Call ``callback(when, event)`` as each event is popped.
+    def attach(self, observer) -> None:
+        """Register ``observer``: its ``on_*`` hooks that are not None,
+        read now, are called from then on (attaching twice is a no-op).
 
-        The callback runs *before* the clock advances and before the
-        event's callbacks, so a monitor sees (and may veto, by raising)
-        any non-monotonic timestamp the engine itself would trip over.
+        ``on_step(when, event)`` runs as each event is popped, before the
+        clock advances, so it may veto a non-monotonic timestamp by
+        raising; ``on_schedule(event, active_process)`` as each event is
+        calendared (``active_process`` is None outside process segments);
+        ``on_resource(action, resource, request)`` on every Resource
+        ``"acquire"`` and ``"release"``; ``on_access(obj, label,
+        is_write)`` on every instrumented Resource/Store mutation;
+        ``on_transfer(kind, **info)`` on every data-path accounting
+        event; ``on_alias(kind, buffer)`` on every buffer-lifecycle
+        event.  docs/ARCHITECTURE.md tabulates the fast paths each hook
+        switches off.
         """
-        self._step_monitors.append(callback)
-        self._refresh_fast_flags()
+        if not any(known is observer for known in self._observers):
+            self._observers.append(observer)
+            self._refresh_observers()
 
-    def remove_step_monitor(self, callback) -> None:
-        """Detach a step monitor (no-op if absent)."""
-        try:
-            self._step_monitors.remove(callback)
-        except ValueError:
-            pass
-        self._refresh_fast_flags()
+    def detach(self, observer) -> None:
+        """Unregister ``observer`` (no-op if it is not attached)."""
+        self._observers = [known for known in self._observers
+                           if known is not observer]
+        self._refresh_observers()
 
-    def add_resource_monitor(self, callback) -> None:
-        """Call ``callback(action, resource, request)`` on every grant or
-        release of any :class:`~repro.des.resources.Resource` in this
-        environment (``action`` is ``"acquire"`` or ``"release"``)."""
-        self._resource_monitors.append(callback)
-        self._refresh_fast_flags()
+    def _refresh_observers(self) -> None:
+        """Rebuild every per-hook list in place, then the fast flags.
 
-    def remove_resource_monitor(self, callback) -> None:
-        """Detach a resource monitor (no-op if absent)."""
-        try:
-            self._resource_monitors.remove(callback)
-        except ValueError:
-            pass
+        In place, so the aliases :meth:`run` binds to locals stay live
+        across an attach or detach from inside the run.
+        """
+        for name, hooks in (("on_step", self._step_hooks),
+                            ("on_schedule", self._schedule_hooks),
+                            ("on_resource", self._resource_hooks),
+                            ("on_access", self._access_hooks),
+                            ("on_transfer", self._transfer_hooks),
+                            ("on_alias", self._alias_hooks)):
+            hooks[:] = [hook for hook in (getattr(observer, name, None)
+                                          for observer in self._observers)
+                        if hook is not None]
         self._refresh_fast_flags()
 
     def _notify_resource(self, action: str, resource, request) -> None:
-        for callback in self._resource_monitors:
-            callback(action, resource, request)
-
-    def add_schedule_monitor(self, callback) -> None:
-        """Call ``callback(event, active_process)`` whenever an event is
-        placed on the calendar.
-
-        ``active_process`` is the process whose segment scheduled the
-        event (None for callback-phase or setup-time scheduling).  The
-        happens-before tracker uses this to stamp each event with the
-        logical clock of the segment that caused it.
-        """
-        self._schedule_monitors.append(callback)
-        self._refresh_fast_flags()
-
-    def remove_schedule_monitor(self, callback) -> None:
-        """Detach a schedule monitor (no-op if absent)."""
-        try:
-            self._schedule_monitors.remove(callback)
-        except ValueError:
-            pass
-        self._refresh_fast_flags()
-
-    def add_access_monitor(self, callback) -> None:
-        """Call ``callback(obj, label, is_write)`` on every instrumented
-        shared-state access (:class:`~repro.des.resources.Resource` queue
-        mutations, :class:`~repro.des.resources.Store` puts/gets/purges).
-        """
-        self._access_monitors.append(callback)
-        self._refresh_fast_flags()
-
-    def remove_access_monitor(self, callback) -> None:
-        """Detach an access monitor (no-op if absent)."""
-        try:
-            self._access_monitors.remove(callback)
-        except ValueError:
-            pass
-        self._refresh_fast_flags()
+        for hook in self._resource_hooks:
+            hook(action, resource, request)
 
     def _notify_access(self, obj, label: str, is_write: bool) -> None:
-        for callback in self._access_monitors:
-            callback(obj, label, is_write)
-
-    def add_transfer_monitor(self, callback) -> None:
-        """Call ``callback(kind, **info)`` on every data-path accounting
-        event an instrumented component emits (striped write/read begin
-        and end, per-agent regions, wire payloads, parity reconstruction).
-        The conservation ledger (:mod:`repro.check.conserve`) attaches
-        here; emitters guard on ``env._transfer_monitors`` so the data
-        path pays one falsy test when no ledger is installed.  Attaching
-        disables event-span coalescing (``_span_fast``) so the ledger
-        sees every per-block event, but leaves pooling and the inlined
-        resource paths on.
-        """
-        self._transfer_monitors.append(callback)
-        self._refresh_fast_flags()
-
-    def remove_transfer_monitor(self, callback) -> None:
-        """Detach a transfer monitor (no-op if absent)."""
-        try:
-            self._transfer_monitors.remove(callback)
-        except ValueError:
-            pass
-        self._refresh_fast_flags()
+        for hook in self._access_hooks:
+            hook(obj, label, is_write)
 
     def _notify_transfer(self, kind: str, **info) -> None:
-        for callback in self._transfer_monitors:
-            callback(kind, **info)
-
-    def add_alias_monitor(self, callback) -> None:
-        """Call ``callback(kind, buffer)`` on every buffer-lifecycle event
-        an instrumented component emits (``"buffer-mutate"`` when a
-        shared write buffer grows in place, ``"buffer-retire"`` when it
-        is swapped out at flush).  The aliasing sanitizer
-        (:mod:`repro.check.sanitize`) attaches here; like the transfer
-        hook this deliberately does **not** flip ``_unmonitored``, so
-        event pooling and the inlined fast paths stay active and the
-        sanitizer observes exactly the production engine.  It does
-        disable event-span coalescing (``_span_fast``): coalesced chains
-        skip per-block events the sanitizer may want to order against.
-        """
-        self._alias_monitors.append(callback)
-        self._refresh_fast_flags()
-
-    def remove_alias_monitor(self, callback) -> None:
-        """Detach an alias monitor (no-op if absent)."""
-        try:
-            self._alias_monitors.remove(callback)
-        except ValueError:
-            pass
-        self._refresh_fast_flags()
+        for hook in self._transfer_hooks:
+            hook(kind, **info)
 
     def _notify_alias(self, kind: str, buffer) -> None:
-        for callback in self._alias_monitors:
-            callback(kind, buffer)
+        for hook in self._alias_hooks:
+            hook(kind, buffer)
 
     # -- event factories --------------------------------------------------------
 
@@ -385,8 +316,8 @@ class Environment:
         call may return the same object re-armed.  Holding a reference to
         a fired Timeout and inspecting it after the simulation has moved
         on is therefore unsupported (see docs/PERFORMANCE.md).  Recycling
-        is suspended while step or schedule monitors are attached, since
-        detectors key state by event identity.
+        is suspended while ``_unmonitored`` is clear, since detectors key
+        state by event identity.
         """
         pool = self._timeout_pool
         if pool and self._unmonitored:
@@ -400,7 +331,7 @@ class Environment:
             timeout = pool.pop()
             timeout.delay = delay
             timeout._value = value
-            # No monitors to notify (checked above); push directly.
+            # No hooks to notify (checked above); push directly.
             if self._schedule_fast:
                 now = self._now
                 when = now + delay
@@ -423,7 +354,7 @@ class Environment:
         Processes about to emit a deterministic chain of k timeouts
         consult this: when True they may pre-draw the k service
         times in reference order and schedule one completion via
-        :meth:`timeout_at`; when False (any monitor attached, tie-break
+        :meth:`timeout_at`; when False (any observer hook, tie-break
         shuffling, or ``cohort_dispatch=False``) they must expand the
         chain event for event so every observer sees the reference
         sequence.
@@ -506,15 +437,15 @@ class Environment:
         ``(time, priority, tie)`` with a single integer comparison.
         """
         eid = self._eid = self._eid + 1
-        if self._schedule_monitors:
-            for monitor in self._schedule_monitors:
-                monitor(event, self._active_process)
+        if self._schedule_hooks:
+            for hook in self._schedule_hooks:
+                hook(event, self._active_process)
         prefix = self._tie_seed_prefix
         if prefix is None:
             when = self._now + delay
             if (when == self._now and priority == 1
                     and self._schedule_fast):
-                # Same-timestamp, normal-priority, no monitors: the event
+                # Same-timestamp, normal-priority, no hooks: the event
                 # joins the cohort currently being drained.
                 self._ready.append(event)
                 return
@@ -532,9 +463,9 @@ class Environment:
         :meth:`schedule` stays the single hot entry point.
         """
         eid = self._eid = self._eid + 1
-        if self._schedule_monitors:
-            for monitor in self._schedule_monitors:
-                monitor(event, self._active_process)
+        if self._schedule_hooks:
+            for hook in self._schedule_hooks:
+                hook(event, self._active_process)
         prefix = self._tie_seed_prefix
         if prefix is None:
             if (when == self._now and priority == 1
@@ -567,9 +498,9 @@ class Environment:
                 when, _, event = heappop(queue)
             except IndexError:
                 raise EmptySchedule() from None
-        if self._step_monitors:
-            for monitor in self._step_monitors:
-                monitor(when, event)
+        if self._step_hooks:
+            for hook in self._step_hooks:
+                hook(when, event)
         if when < self._now:  # pragma: no cover - heap guarantees ordering
             raise RuntimeError("event scheduled in the past")
         self._now = when
@@ -581,27 +512,14 @@ class Environment:
             if isinstance(exc, BaseException):
                 raise exc
             raise RuntimeError(f"unhandled failed event: {event!r}")
-        self._maybe_recycle(event)
-
-    def _maybe_recycle(self, event: Event) -> None:
-        """Return a processed Timeout or Release to its free list.
-
-        Only exact Timeout/Release instances are pooled (subclasses may
-        carry extra state), the pools are bounded, and recycling is
-        disabled entirely while step or schedule monitors are attached —
-        the happens-before detector and the sanitizer key per-event
-        state by object identity, which reuse would alias.
-        """
-        if not self._unmonitored:
-            return
+        # Recycle as the run loop does: exact Timeout/Release instances
+        # only (subclasses may carry extra state), bounded, and never
+        # while observed — detectors key per-event state by identity.
         cls = type(event)
-        if cls is Timeout:
-            pool = self._timeout_pool
-        elif cls is Release:
-            pool = self._release_pool
-        else:
-            return
-        if len(pool) < _POOL_LIMIT:
+        pool = (self._timeout_pool if cls is Timeout
+                else self._release_pool if cls is Release else None)
+        if (pool is not None and self._unmonitored
+                and len(pool) < _POOL_LIMIT):
             event.callbacks = []  # pool invariant: empty list, not None
             pool.append(event)
 
@@ -636,8 +554,10 @@ class Environment:
         # The drain loop is step() inlined: cohort dispatch first (pop
         # the ready deque while the heap has nothing due), then one
         # heappop to refill or advance, with the queue, the deque, the
-        # monitor lists and the event pools bound to locals.  Monitors
-        # mutate those lists in place, so the aliases stay live.  Ready
+        # step hooks and the event pools bound to locals.  attach() and
+        # detach() rebuild the hook lists in place, so the aliases stay
+        # live; the pooling gate is re-read per event for the same
+        # reason.  Ready
         # entries skip the per-event clock write — their timestamp *is*
         # the current time — and the heap-top guard before each cohort
         # pop keeps urgent arrivals (smaller key, scheduled mid-cohort)
@@ -646,8 +566,7 @@ class Environment:
         queue = self._queue
         ready = self._ready
         ready_pop = ready.popleft
-        step_monitors = self._step_monitors
-        schedule_monitors = self._schedule_monitors
+        step_hooks = self._step_hooks
         timeout_pool = self._timeout_pool
         release_pool = self._release_pool
         now = self._now
@@ -673,9 +592,9 @@ class Environment:
                         self._now = stop_time
                         return None
                     raise EmptySchedule()
-                if step_monitors:
-                    for monitor in step_monitors:
-                        monitor(when, event)
+                if step_hooks:
+                    for hook in step_hooks:
+                        hook(when, event)
                 callbacks = event.callbacks
                 event.callbacks = None
                 if callbacks:
@@ -685,8 +604,7 @@ class Environment:
                     cls = type(event)
                     if (cls is Timeout
                             and len(timeout_pool) < _POOL_LIMIT
-                            and not step_monitors
-                            and not schedule_monitors):
+                            and self._unmonitored):
                         # Pool invariant: a pooled Timeout carries an
                         # *empty* callbacks list, recycled from the one
                         # just drained, so timeout() re-arms it without
@@ -696,8 +614,7 @@ class Environment:
                         timeout_pool.append(event)
                     elif (cls is Release
                             and len(release_pool) < _POOL_LIMIT
-                            and not step_monitors
-                            and not schedule_monitors):
+                            and self._unmonitored):
                         callbacks.clear()
                         event.callbacks = callbacks
                         release_pool.append(event)

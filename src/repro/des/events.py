@@ -103,7 +103,7 @@ class Event:
     """
 
     #: ``_hb_clock`` is written only by the happens-before detector
-    #: (:mod:`repro.check.hb`) while its schedule monitor is attached;
+    #: (:mod:`repro.check.hb`) while its ``on_schedule`` hook is attached;
     #: normal runs never touch the slot, so it stays unset and costs
     #: nothing to construct.  ``_stale`` is the aliasing sanitizer's
     #: recycle mark: the instrumented free list that currently parks
@@ -164,7 +164,7 @@ class Event:
             raise RuntimeError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        # Inlined env.schedule(self) for the common no-monitor, no-shuffle
+        # Inlined env.schedule(self) for the common no-hook, no-shuffle
         # case: succeed() fires once per granted request, completed
         # process and message delivery, so the call overhead shows up in
         # every hot loop.  The event fires at the current time, so it

@@ -15,12 +15,12 @@ queueing — and pinned by the golden-result tests):
 * **immediate start** — ``Process(env, gen, immediate=True)`` runs the
   generator's first segment inside the caller's dispatch, exactly as a
   ``yield from`` would, instead of through an initialisation event;
-* **inline completion** — when no monitor is attached
-  (``env._unmonitored``), a finishing process resumes its waiters on the
-  spot instead of scheduling a completion event for them, and a process
-  nobody waits on finishes with no event at all.  With a monitor
-  attached the completion goes through the calendar, so every observer
-  sees it.
+* **inline completion** — while ``env._unmonitored`` holds, a
+  finishing process resumes its waiters on the spot instead of
+  scheduling a completion event for them, and a process nobody waits on
+  finishes with no event at all.  With an observer hook that clears the
+  gate the completion goes through the calendar, so the observer sees
+  it.
 """
 
 from __future__ import annotations

@@ -53,8 +53,8 @@ class Request(Event):
         # Inlined Resource.release() pooled fast path: every with-block
         # hold pays this exit exactly once, so the extra call frame is
         # measurable at millions of events per second.  The slow branch
-        # (no pooled Release, or monitors attached) still routes through
-        # release() so monitor notification order is identical.
+        # (no pooled Release, or observers attached) still routes through
+        # release() so hook notification order is identical.
         resource = self.resource
         env = self.env
         pool = env._release_pool
@@ -181,13 +181,13 @@ class Resource:
         they have been granted, processed *and* released — holding on to
         a request after releasing it and inspecting it later is
         unsupported (see docs/PERFORMANCE.md).  Recycling is suspended
-        while step, schedule or resource monitors are attached, since
-        the leak detector keys held requests by identity.
+        while ``env._unmonitored`` is clear, since the leak detector keys
+        held requests by identity.
         """
         env = self.env
         pool = env._request_pool
         if pool and env._unmonitored:
-            # Re-arm a retired request and inline the monitor-free
+            # Re-arm a retired request and inline the hook-free
             # _enqueue: the gate above already proved every hook list
             # empty, so the fast path is slot writes plus one heappush.
             request = pool.pop()
@@ -223,7 +223,7 @@ class Resource:
         env = self.env
         pool = env._release_pool
         if pool and env._unmonitored:
-            # Re-arm a pooled Release and inline the monitor-free
+            # Re-arm a pooled Release and inline the hook-free
             # _dequeue (users scan, regrant, no notifications).  A
             # Release's _ok/_value/_defused never change between lives,
             # so re-arming writes nothing.
@@ -262,10 +262,10 @@ class Resource:
         the regrant of the next waiter already happens at release time,
         not when the Release is processed — so for callers that do not
         need the returned event (:meth:`hold` and the disk and cable
-        holds) skipping it removes one calendar entry per hold.  Grant order, monitor notification order and
-        request recycling are identical to :meth:`release`; with any
-        step/schedule/resource/access monitor attached the release
-        routes through the fully notifying slow path.
+        holds) skipping it removes one calendar entry per hold.  Grant
+        order, hook notification order and request recycling are
+        identical to :meth:`release`; while ``env._unmonitored`` is
+        clear the release routes through the fully notifying slow path.
         """
         env = self.env
         if env._unmonitored:
@@ -298,15 +298,13 @@ class Resource:
         """Claim a free server with no Request object and no grant event.
 
         The cheapest possible grant: when the server is free, the queue
-        empty and no monitor attached, a placeholder token takes the
-        server slot and the caller proceeds inline.  Contenders arriving
-        during the hold queue exactly as against a granted request —
-        ``users`` grows at the same instant either way.  Returns False
-        (claiming nothing) when contended or monitored; the caller falls
-        back to :meth:`request`.  A successful claim must be returned
-        with :meth:`release_slot`, which holds even if monitors attach
-        mid-hold — like request recycling, per-hold monitor fidelity is
-        only guaranteed for monitors attached before the run starts.
+        empty and ``env._unmonitored`` holds, a placeholder token takes
+        the server slot and the caller proceeds inline.  Contenders
+        arriving during the hold queue exactly as against a granted
+        request — ``users`` grows at the same instant either way.
+        Returns False (claiming nothing) when contended or observed; the
+        caller falls back to :meth:`request`.  A successful claim must be
+        returned with :meth:`release_slot`.
         """
         if (self.env._unmonitored and not self._waiting
                 and len(self.users) < self.capacity):
@@ -319,8 +317,13 @@ class Resource:
 
         Identical regrant semantics to :meth:`release_quiet`: the
         longest-waiting highest-priority request (if any) is granted at
-        the current time before this call returns.
+        the current time before this call returns.  Raises RuntimeError
+        if an observer that never saw the token grant attached mid-hold.
         """
+        if not self.env._unmonitored:
+            raise RuntimeError(
+                f"{self!r}: an observer attached during a try_acquire "
+                "hold; attach observers before the holds they watch")
         users = self.users
         users.remove(_TOKEN)
         waiting = self._waiting
@@ -350,7 +353,7 @@ class Resource:
 
         except that an uncontended claim is a token (:meth:`try_acquire`:
         no Request, no grant event) and the release is quiet (no Release
-        event), so an uncontended unmonitored hold costs one calendar
+        event), so an uncontended unobserved hold costs one calendar
         entry: the timeout.  ``monitor`` is an optional
         :class:`~repro.des.stats.UtilizationMonitor`, busy from the grant
         and idle at release if nobody is queued.  No ``finally``: a hold
@@ -386,7 +389,7 @@ class Resource:
 
     def _enqueue(self, request: Request) -> None:
         env = self.env
-        if env._access_monitors:
+        if env._access_hooks:
             env._notify_access(self, "Resource.request", True)
         if not self._waiting and len(self.users) < self.capacity:
             # Uncontended fast path: an empty wait queue with a free
@@ -394,7 +397,7 @@ class Resource:
             # Ticket numbers only order coexisting *waiting* entries, so
             # not consuming one here changes no grant order.
             self.users.append(request)
-            if env._resource_monitors:
+            if env._resource_hooks:
                 env._notify_resource("acquire", self, request)
             self._fire(request)
             return
@@ -414,9 +417,9 @@ class Resource:
             self._withdraw(request)
             return
         env = self.env
-        if env._access_monitors:
+        if env._access_hooks:
             env._notify_access(self, "Resource.release", True)
-        if env._resource_monitors:
+        if env._resource_hooks:
             env._notify_resource("release", self, request)
         if self._waiting:
             self._grant()
@@ -452,13 +455,13 @@ class Resource:
         users = self.users
         capacity = self.capacity
         env = self.env
-        monitors = env._resource_monitors
+        hooks = env._resource_hooks
         slow = not env._schedule_fast
         ready = env._ready
         while waiting and len(users) < capacity:
             _, _, request = heappop(waiting)
             users.append(request)
-            if monitors:
+            if hooks:
                 env._notify_resource("acquire", self, request)
             request._ok = True
             request._value = None
@@ -477,7 +480,7 @@ class StorePut(Event):
     def __init__(self, store: "Store", item: Any):
         super().__init__(store.env)
         self.item = item
-        if store.env._access_monitors:
+        if store.env._access_hooks:
             store.env._notify_access(store, "Store.put", True)
         store._put_queue.append(self)
         store._dispatch()
@@ -492,7 +495,7 @@ class StoreGet(Event):
         super().__init__(store.env)
         self.store = store
         self.predicate = predicate
-        if store.env._access_monitors:
+        if store.env._access_hooks:
             store.env._notify_access(store, "Store.get", True)
         store._get_queue.append(self)
         store._dispatch()
@@ -541,7 +544,7 @@ class Store:
 
     def purge(self, predicate: Callable[[Any], bool]) -> int:
         """Discard buffered items matching ``predicate``; returns the count."""
-        if self.env._access_monitors:
+        if self.env._access_hooks:
             self.env._notify_access(self, "Store.purge", True)
         keep = [item for item in self.items if not predicate(item)]
         removed = len(self.items) - len(keep)

@@ -1,5 +1,7 @@
 """The zero-copy safety pass, runtime half: poisoned pools, stamps."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.check import (
@@ -175,7 +177,8 @@ def test_monitor_attached_mid_run_suspends_pooling_cleanly():
 
     def attach_later(env):
         yield env.timeout(1.0)
-        env.add_step_monitor(lambda when, event: stepped.append(when))
+        env.attach(SimpleNamespace(
+            on_step=lambda when, event: stepped.append(when)))
         yield env.timeout(1.0)
 
     env.process(attach_later(env))

@@ -56,7 +56,7 @@ def test_degraded_path_is_conservative():
 
 
 def test_uninstrumented_run_pays_nothing():
-    # No monitor attached: no ops are even named.
+    # No observer attached: no ops are even named.
     deployment = build_local_swift(num_agents=3)
     client = deployment.client()
     ledger = ConservationLedger(deployment.env)  # never installed
@@ -64,7 +64,7 @@ def test_uninstrumented_run_pays_nothing():
     handle.pwrite(0, b"x" * 10_000)
     handle.close()
     assert ledger.events_observed == 0
-    assert deployment.env._transfer_monitors == []
+    assert deployment.env._transfer_hooks == []
 
 
 # -- injected leaks are caught and attributed ---------------------------------
@@ -232,4 +232,4 @@ def test_uninstall_detaches():
     env._notify_transfer("write-begin", op="o#w1", logical_offset=0,
                          logical_bytes=10)
     assert ledger.events_observed == 0
-    assert env._transfer_monitors == []
+    assert env._transfer_hooks == []

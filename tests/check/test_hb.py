@@ -58,6 +58,74 @@ def test_event_ordered_writes_are_clean():
     detector.assert_clean()
 
 
+@pytest.mark.parametrize("immediate", [False, True],
+                         ids=["deferred", "immediate"])
+def test_spawned_child_inherits_the_spawners_clock(immediate):
+    # The parent's add precedes the spawn in program order, so the
+    # child's same-instant add is ordered after it however the child
+    # starts; an immediate start must not look like a fresh root.
+    env = Environment()
+    stats = OnlineStats()
+
+    def child():
+        stats.add(2.0)
+        yield env.timeout(0.0)
+
+    def parent():
+        yield env.timeout(1.0)
+        stats.add(1.0)
+        env.process(child(), immediate=immediate)
+
+    with detect_races(env, watch=[stats]) as detector:
+        env.process(parent())
+        env.run()
+    assert detector.races == []
+
+
+def test_nested_immediate_spawns_inherit_transitively():
+    env = Environment()
+    stats = OnlineStats()
+
+    def grandchild():
+        stats.add(3.0)
+        yield env.timeout(0.0)
+
+    def child():
+        env.process(grandchild(), immediate=True)
+        yield env.timeout(0.0)
+
+    def parent():
+        yield env.timeout(1.0)
+        stats.add(1.0)
+        env.process(child(), immediate=True)
+
+    with detect_races(env, watch=[stats]) as detector:
+        env.process(parent())
+        env.run()
+    assert detector.races == []
+
+
+def test_immediate_siblings_still_race():
+    # Inheriting the spawner's clock orders a child after its parent,
+    # not after an unrelated same-instant writer.
+    env = Environment()
+    stats = OnlineStats()
+
+    def child(value):
+        stats.add(value)
+        yield env.timeout(0.0)
+
+    def parent(value):
+        yield env.timeout(1.0)
+        env.process(child(value), immediate=True)
+
+    with detect_races(env, watch=[stats]) as detector:
+        env.process(parent(1.0))
+        env.process(parent(2.0))
+        env.run()
+    assert len(detector.races) == 1
+
+
 def test_distinct_timestamps_are_never_a_race():
     env = Environment()
     stats = OnlineStats()

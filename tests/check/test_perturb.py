@@ -6,6 +6,7 @@ import pytest
 
 from repro.check import (
     ScheduleRaceError,
+    ScheduleTrace,
     assert_schedule_invariant,
     run_perturbed,
 )
@@ -71,6 +72,22 @@ def test_assert_raises_on_divergence():
     with pytest.raises(ScheduleRaceError) as caught:
         assert_schedule_invariant(_racy_scenario, permutations=4)
     assert "tie-break race" in str(caught.value)
+
+
+def test_trace_attach_is_idempotent():
+    env = Environment()
+    trace = ScheduleTrace()
+    trace.attach(env)
+    trace.attach(env)
+
+    def ticker():
+        for _ in range(3):
+            yield env.timeout(1.0)
+
+    env.process(ticker())
+    env.run()
+    # Init event, three timeouts and the completion: once each.
+    assert len(trace.fingerprints) == 5
 
 
 def test_seed_derivation_is_deterministic_and_distinct():

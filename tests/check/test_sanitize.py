@@ -148,8 +148,8 @@ def test_uninstall_restores_zero_overhead_hooks():
     stream = streams.stream("x")
     with sanitize(env, streams):
         pass
-    assert env._step_monitors == []
-    assert env._resource_monitors == []
+    assert env._step_hooks == []
+    assert env._resource_hooks == []
     assert stream.observer is None
 
 

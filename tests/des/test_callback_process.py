@@ -18,6 +18,8 @@ an immediately started process, "adopt/join" is a parent yielding its
 children, and a "state" is one segment of a process.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.des import Environment, Interrupt, Resource, UtilizationMonitor
@@ -316,7 +318,8 @@ def test_silent_completion_still_observable_as_processed():
 def test_completion_event_scheduled_when_monitored():
     env = Environment()
     seen = []
-    env.add_step_monitor(lambda when, event: seen.append(event))
+    env.attach(SimpleNamespace(
+        on_step=lambda when, event: seen.append(event)))
     watched = env.process(sleeper(env, 0.0, "watched"), immediate=True)
     env.run()
     assert watched in seen  # completion went through the calendar

@@ -1,5 +1,7 @@
 """Engine and event-lifecycle tests for the DES kernel."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.des import Environment, EmptySchedule, Event, Timeout
@@ -310,7 +312,8 @@ def test_schedule_monitor_spills_pending_cohort():
         # The succeeded events sit in the ready cohort right now.
         assert env._ready
         seen = []
-        env.add_schedule_monitor(lambda event, proc: seen.append(event))
+        env.attach(SimpleNamespace(
+            on_schedule=lambda event, proc: seen.append(event)))
         # Attaching the monitor must have spilled them into the heap.
         assert not env._ready
         yield env.all_of(events)
@@ -372,23 +375,40 @@ def test_timeout_at_rejects_past():
         env.run()
 
 
-def test_span_coalescing_gate_follows_monitors():
+def test_span_coalescing_gate_follows_observers():
     env = Environment()
     assert env.span_coalescing
     probe = lambda *args, **kwargs: None
-    env.add_transfer_monitor(probe)
-    assert not env.span_coalescing
-    env.remove_transfer_monitor(probe)
-    assert env.span_coalescing
-    env.add_alias_monitor(probe)
-    assert not env.span_coalescing
-    env.remove_alias_monitor(probe)
-    env.add_step_monitor(probe)
-    assert not env.span_coalescing
-    env.remove_step_monitor(probe)
-    assert env.span_coalescing
+    for hook in ("on_transfer", "on_alias", "on_step"):
+        observer = SimpleNamespace(**{hook: probe})
+        env.attach(observer)
+        assert not env.span_coalescing, hook
+        env.detach(observer)
+        assert env.span_coalescing, hook
     env.tie_break_seed = 7
     assert not env.span_coalescing
     env.tie_break_seed = None
     assert env.span_coalescing
     assert not Environment(cohort_dispatch=False).span_coalescing
+
+
+def test_attach_is_idempotent_by_identity():
+    env = Environment()
+    seen = []
+    observer = SimpleNamespace(on_step=lambda when, event: seen.append(when))
+    env.attach(observer)
+    env.attach(observer)
+    env.timeout(1.0)
+    env.run()
+    assert seen == [1.0]
+    env.detach(observer)
+    assert env._step_hooks == [] and env._unmonitored
+
+
+def test_missing_and_none_hooks_are_not_attached():
+    env = Environment()
+    env.attach(SimpleNamespace(on_step=None, on_transfer=None))
+    env.attach(object())
+    assert env._unmonitored and env.span_coalescing
+    assert env._step_hooks == [] and env._transfer_hooks == []
+    env.detach(SimpleNamespace())  # never attached: no-op

@@ -7,6 +7,10 @@ identity reuse never changes simulation results, and the one historically
 sharp edge — cancel-then-exit on a granted Request — stays safe.
 """
 
+from types import SimpleNamespace
+
+import pytest
+
 from repro.des import Environment, Resource
 from repro.des.engine import _POOL_LIMIT
 
@@ -41,19 +45,55 @@ def test_pool_is_bounded():
     assert len(env._timeout_pool) <= _POOL_LIMIT
 
 
-def test_monitors_disable_recycling():
+#: One no-op hook per observer kind; the first four clear _unmonitored.
+_HOOKS = {
+    "on_step": lambda when, event: None,
+    "on_schedule": lambda event, process: None,
+    "on_resource": lambda action, resource, request: None,
+    "on_access": lambda obj, label, is_write: None,
+    "on_transfer": lambda kind, **info: None,
+    "on_alias": lambda kind, buffer: None,
+}
+
+
+def _observed_holds(hook):
+    """Twenty with-block holds under one observer hook; returns the env."""
     env = Environment()
-    env.add_step_monitor(lambda when, event: None)
+    env.attach(SimpleNamespace(**{hook: _HOOKS[hook]}))
+    resource = Resource(env)
 
     def proc(env):
-        for _ in range(5):
-            yield env.timeout(1.0)
+        for _ in range(20):
+            with resource.request() as grant:
+                yield grant
+                yield env.timeout(1.0)
 
     env.process(proc(env))
     env.run()
+    return env
+
+
+@pytest.mark.parametrize(
+    "hook", ["on_step", "on_schedule", "on_resource", "on_access"])
+def test_monitors_disable_recycling(hook):
+    # One gate: every hook that clears _unmonitored stops all three
+    # pools, the run loop's inline recycler included.
+    env = _observed_holds(hook)
+    assert not env._unmonitored
     assert env._timeout_pool == []
     assert env._release_pool == []
     assert env._request_pool == []
+
+
+@pytest.mark.parametrize("hook", ["on_transfer", "on_alias"])
+def test_data_path_hooks_leave_recycling_on(hook):
+    # The aliasing sanitizer watches pooling itself, so its hook (and
+    # the conservation ledger's) must not switch it off.
+    env = _observed_holds(hook)
+    assert env._unmonitored
+    assert env._timeout_pool
+    assert env._release_pool
+    assert env._request_pool
 
 
 def test_pooled_events_arrive_with_empty_callbacks():

@@ -1,5 +1,7 @@
 """Process semantics: returns, exceptions, interrupts, waiting on processes."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.des import Environment, Interrupt
@@ -234,7 +236,8 @@ def _completion_events(monitored: bool):
     seen = []
     steps = []
     if monitored:
-        env.add_step_monitor(lambda when, event: steps.append(event))
+        env.attach(SimpleNamespace(
+            on_step=lambda when, event: steps.append(event)))
 
     def child(env):
         yield env.timeout(1.0)

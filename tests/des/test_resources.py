@@ -1,5 +1,7 @@
 """Resource and Store semantics."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.des import Environment, Resource, Store
@@ -370,8 +372,8 @@ def test_hold_under_resource_monitor_notifies_acquire_and_release():
     env = Environment()
     resource = Resource(env)
     actions = []
-    env.add_resource_monitor(
-        lambda action, res, request: actions.append(action))
+    env.attach(SimpleNamespace(
+        on_resource=lambda action, res, request: actions.append(action)))
 
     def proc(env):
         yield from resource.hold(1.0)
@@ -381,3 +383,48 @@ def test_hold_under_resource_monitor_notifies_acquire_and_release():
     env.run()
     assert actions == ["acquire", "release", "acquire", "release"]
     assert env.now == 2.0
+
+
+def test_observer_attached_mid_token_hold_is_refused():
+    # The first hold is a silent token grant; a resource observer that
+    # arrives during it would see the waiter's release (t=3) but never
+    # its acquire (t=2).  release_slot refuses instead.
+    env = Environment()
+    resource = Resource(env)
+    actions = []
+
+    def holder(env):
+        yield from resource.hold(2.0)
+
+    def late_observer(env):
+        yield env.timeout(1.0)
+        env.attach(SimpleNamespace(
+            on_resource=lambda action, res, request: actions.append(
+                (action, env.now))))
+        yield from resource.hold(1.0)
+
+    env.process(holder(env))
+    env.process(late_observer(env))
+    with pytest.raises(RuntimeError, match="try_acquire hold"):
+        env.run()
+    assert env.now == 2.0
+    assert actions == []
+
+
+def test_observer_attached_and_detached_mid_hold_is_harmless():
+    env = Environment()
+    resource = Resource(env)
+    observer = SimpleNamespace(on_resource=lambda *args: None)
+
+    def holder(env):
+        yield from resource.hold(2.0)
+
+    def blink(env):
+        yield env.timeout(1.0)
+        env.attach(observer)
+        env.detach(observer)
+
+    env.process(holder(env))
+    env.process(blink(env))
+    env.run()
+    assert env.now == 2.0 and resource.count == 0

@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -101,10 +102,11 @@ def _fields(result) -> dict:
 def _run(config: SimConfig, path: str):
     model = SwiftSimModel(config, cohort_dispatch=path != "one-heap")
     if path == "transfer-monitor":
-        model.env.add_transfer_monitor(lambda kind, **info: None)
+        model.env.attach(
+            SimpleNamespace(on_transfer=lambda kind, **info: None))
         assert not model.env.span_coalescing
     elif path == "step-monitor":
-        model.env.add_step_monitor(lambda when, event: None)
+        model.env.attach(SimpleNamespace(on_step=lambda when, event: None))
     return model.run()
 
 

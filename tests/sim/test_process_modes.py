@@ -23,6 +23,7 @@ reference.  ``process_mode`` itself is gone.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -55,7 +56,7 @@ SHAPE_IDS = ["fig3", "fig5", "realtime"]
 def _run(config, mode="callback", cohort_dispatch=True):
     model = SwiftSimModel(config, cohort_dispatch=cohort_dispatch)
     if mode == "generator":
-        model.env.add_step_monitor(lambda when, event: None)
+        model.env.attach(SimpleNamespace(on_step=lambda when, event: None))
     return model.run()
 
 
@@ -89,8 +90,8 @@ def test_span_coalescing_expands_under_transfer_monitor():
     reference = _run(FIG5_SHAPE, "generator")
     model = SwiftSimModel(FIG5_SHAPE)
     records = []
-    model.env.add_transfer_monitor(lambda kind, **info:
-                                   records.append(kind))
+    model.env.attach(SimpleNamespace(
+        on_transfer=lambda kind, **info: records.append(kind)))
     assert not model.env.span_coalescing
     assert model.run() == reference
 
@@ -102,7 +103,8 @@ def test_callback_expands_more_events_when_monitored():
     plain_result = plain.run()
     monitored = SwiftSimModel(FIG5_SHAPE)
     steps = []
-    monitored.env.add_step_monitor(lambda when, event: steps.append(when))
+    monitored.env.attach(SimpleNamespace(
+        on_step=lambda when, event: steps.append(when)))
     assert monitored.run() == plain_result
     assert len(steps) > plain.env._eid
 
@@ -154,7 +156,7 @@ def test_modes_are_schedule_invariant(mode):
                                      tie_break_seed=tie_break_seed)
         model = SwiftSimModel(config)
         if mode == "generator":
-            model.env.add_step_monitor(lambda when, event: None)
+            model.env.attach(SimpleNamespace(on_step=lambda when, event: None))
         trace.attach(model.env)
         metrics = dataclasses.asdict(model.run())
         metrics.pop("config")

@@ -11,6 +11,7 @@ processes behind (whose generators must be safe to reap at any time).
 
 import dataclasses
 import gc
+from types import SimpleNamespace
 
 import pytest
 
@@ -67,7 +68,7 @@ def test_warm_callback_deployment_matches_cold_and_generator():
     # (a step monitor switches every event saver off).
     config = dataclasses.replace(BASE, arrival_rate=6.0)
     expanded = SwiftSimModel(config)
-    expanded.env.add_step_monitor(lambda when, event: None)
+    expanded.env.attach(SimpleNamespace(on_step=lambda when, event: None))
     reference = expanded.run()
     assert SwiftSimModel(config).run() == reference
     model = SwiftSimModel(config)
