@@ -3,12 +3,17 @@
 The results in Tables 1-4 and Figures 3-6 are only trustworthy if every
 simulation run is bit-for-bit deterministic and the transfer protocol never
 violates its ACK/NAK state machine.  This package provides three layers of
-defence:
+defence.  The static passes share one pipeline
+(:mod:`repro.check.pipeline`): :func:`run_check` parses every audited
+file once (:mod:`repro.check.lint`), runs the selected passes over the
+parsed files, applies ``# repro: allow[...]`` suppressions to the
+findings of every pass that reads the sources and merges them into one
+report.  :data:`PASSES` is the
+rule catalogue: each pass with the rule ids it emits.
 
-* :mod:`repro.check.lint` — an AST lint engine with pluggable determinism
-  rules (:mod:`repro.check.rules`) that walks ``src/repro/**`` and flags
-  hazards: unseeded RNG, wall-clock reads, mutable default arguments,
-  set-iteration order dependence, salted ``hash()`` use.
+* :mod:`repro.check.rules` — the determinism lint rules: unseeded RNG,
+  wall-clock reads, mutable default arguments, set-iteration order
+  dependence, salted ``hash()`` use.
 * :mod:`repro.check.protocol` — a static checker that extracts the
   agent/client message flows from the protocol sources and verifies them
   against the declarative spec in :mod:`repro.check.spec` (the
@@ -62,6 +67,7 @@ Run everything from the command line::
     python -m repro check --aliasing [paths ...] [--json]
     python -m repro check --model [--depth N] [--retransmits K]
     python -m repro check --effects [paths ...] [--json]
+    python -m repro check --units --aliasing [paths ...]   # flags compose
     python -m repro check --all [--json]
 
 which exits non-zero when any violation is found.  Individual lint findings
@@ -70,15 +76,9 @@ offending line (or the line above); see docs/CHECKING.md.
 """
 
 from .adversary import AdversaryBudget
-from .aliasing import ALIAS_RULES, alias_rule_registry, analyze_aliasing
-from .effects import (
-    ALLOWED_GLOBAL_WRITES,
-    EFFECT_RULES,
-    EffectStats,
-    analyze_effects,
-    effect_rule_registry,
-)
-from .findings import Finding, Severity
+from .aliasing import analyze_aliasing
+from .effects import ALLOWED_GLOBAL_WRITES, EffectStats, analyze_effects
+from .findings import CheckUsageError, Finding, Severity
 from .hb import RaceDetector, RaceError, RaceReport, detect_races
 from .model import (
     ModelConfig,
@@ -90,7 +90,7 @@ from .model import (
     check_model,
     explore,
 )
-from .lint import LintEngine, Rule, iter_python_files
+from .lint import Rule, SourceFile, iter_python_files, parse_files
 from .perturb import (
     PerturbationReport,
     ScheduleRaceError,
@@ -98,11 +98,9 @@ from .perturb import (
     assert_schedule_invariant,
     run_perturbed,
 )
+from .pipeline import CATALOGUE, PASSES, CheckReport, run_check
 from .protocol import check_protocol
-from .races import RACE_RULES, race_rule_registry
 from .report import render_json, render_text
-from .rules import DEFAULT_RULES, rule_registry
-from .units import UNIT_RULES, unit_rule_registry
 from .conserve import ConservationError, ConservationLedger, conserve
 from .sanitize import (
     AliasSanitizer,
@@ -123,24 +121,19 @@ from .sanitize import (
 
 __all__ = [
     "Finding",
+    "CheckUsageError",
     "Severity",
     "Rule",
-    "LintEngine",
+    "SourceFile",
     "iter_python_files",
-    "rule_registry",
-    "DEFAULT_RULES",
-    "RACE_RULES",
-    "race_rule_registry",
-    "UNIT_RULES",
-    "unit_rule_registry",
-    "ALIAS_RULES",
-    "alias_rule_registry",
+    "parse_files",
+    "PASSES",
+    "CATALOGUE",
+    "CheckReport",
     "analyze_aliasing",
-    "EFFECT_RULES",
     "ALLOWED_GLOBAL_WRITES",
     "EffectStats",
     "analyze_effects",
-    "effect_rule_registry",
     "ConservationError",
     "ConservationLedger",
     "conserve",
@@ -182,21 +175,3 @@ __all__ = [
     "assert_schedule_invariant",
 ]
 
-
-def run_check(root=None, rules=None, protocol=True) -> list[Finding]:
-    """Run the full static suite (lint + protocol) and return the findings.
-
-    ``root`` defaults to the installed ``repro`` package directory, so
-    ``run_check()`` with no arguments audits this very code base.
-    """
-    import pathlib
-
-    if root is None:
-        root = pathlib.Path(__file__).resolve().parent.parent
-    root = pathlib.Path(root)
-    engine = LintEngine(rules=rules)
-    findings = engine.check_tree(root)
-    if protocol:
-        findings.extend(check_protocol(root))
-    findings.sort(key=lambda f: (str(f.path), f.line, f.rule_id))
-    return findings

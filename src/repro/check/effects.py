@@ -73,10 +73,10 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from .findings import Finding, Severity
-from .lint import RULE_GROUPS, Rule, _suppressed_rules, iter_python_files
+from .lint import SourceFile, dotted_name
 
 __all__ = [
-    "EFFECT_RULES",
+    "RULES",
     "ALLOWED_GLOBAL_WRITES",
     "CACHED_ENTRY_POINTS",
     "BENCH_ENTRY_MODULES",
@@ -84,11 +84,26 @@ __all__ = [
     "RANDOMNESS_ROOT_SUFFIXES",
     "EffectStats",
     "analyze_effects",
-    "effect_rule_registry",
+    "build_program",
+    "check_program",
 ]
 
 #: ``# repro: allow[effects]`` covers every ``effect-*`` rule.
 EFFECT_RULE_GROUP = "effects"
+
+#: Rule id -> summary, in reporting order.
+RULES = {
+    "effect-ambient-read": ("wall-clock/env/filesystem/process state read "
+                            "reachable from a cached entry point"),
+    "effect-global-write": ("module-global mutation reachable from "
+                            "pool-dispatched or cached code (undeclared "
+                            "memo)"),
+    "effect-unkeyed-input": ("read of mutated module-global state "
+                             "invisible to the cache key"),
+    "effect-unseeded-random": ("stochastic draw outside des/random_streams "
+                               "reachable from a cached or benchmark entry "
+                               "point"),
+}
 
 #: Functions whose results :class:`~repro.sim.cache.ResultCache` stores:
 #: the roots of the cache-soundness contract.  ``_run_config`` is the
@@ -376,12 +391,8 @@ class _Program:
 # -- pass 1: collect modules, classes, functions ------------------------------
 
 
-def _collect_module(program: _Program, path: Path) -> None:
-    source = path.read_text(encoding="utf-8")
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError:
-        return  # the default lint pass reports unparseable files
+def _collect_module(program: _Program, file: SourceFile) -> None:
+    path, tree = file.path, file.tree
     module = ModuleInfo(name=_module_name(path), path=path, tree=tree)
     program.modules[module.name] = module
 
@@ -426,7 +437,7 @@ def _collect_class(program: _Program, module: ModuleInfo, path: Path,
     info = ClassInfo(qualname=qualname, module=module.name)
     program.classes[qualname] = info
     for base in node.bases:
-        dotted = _dotted(base)
+        dotted = dotted_name(base)
         if dotted is not None:
             resolved = module.symbols.get(dotted.split(".")[0])
             if resolved is not None and "." in dotted:
@@ -442,17 +453,6 @@ def _collect_class(program: _Program, module: ModuleInfo, path: Path,
                 qualname=method_qualname, module=module.name, path=path,
                 node=item, class_name=qualname)
             program.methods_by_name.setdefault(item.name, set()).add(qualname)
-
-
-def _dotted(node: ast.expr) -> Optional[str]:
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 # -- pass 2: per-function analysis --------------------------------------------
@@ -547,7 +547,7 @@ class _FunctionAnalyzer:
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             name = node.value
         else:
-            name = _dotted(node)
+            name = dotted_name(node)
         if name is None:
             return None
         head, _, rest = name.partition(".")
@@ -560,7 +560,7 @@ class _FunctionAnalyzer:
 
     def qualify(self, node: ast.expr) -> Optional[str]:
         """Dotted origin of a Name/Attribute chain through the imports."""
-        dotted = _dotted(node)
+        dotted = dotted_name(node)
         if dotted is None:
             return None
         head, _, rest = dotted.partition(".")
@@ -616,7 +616,7 @@ class _FunctionAnalyzer:
             for stmt in ast.walk(func.node):
                 if isinstance(stmt, ast.Return) and \
                         isinstance(stmt.value, ast.Call):
-                    dotted = _dotted(stmt.value.func)
+                    dotted = dotted_name(stmt.value.func)
                     if dotted is None:
                         continue
                     owner = self.program.modules.get(func.module)
@@ -1224,49 +1224,14 @@ def _contract_findings(program: _Program,
     return findings
 
 
-# -- suppression filtering ----------------------------------------------------
-
-
-def _filter_suppressed(findings: list[Finding]) -> list[Finding]:
-    sources: dict[Path, dict[int, set[str]]] = {}
-    kept = []
-    for finding in findings:
-        allowed = sources.get(finding.path)
-        if allowed is None:
-            try:
-                allowed = _suppressed_rules(
-                    finding.path.read_text(encoding="utf-8"))
-            except OSError:  # pragma: no cover - racing file removal
-                allowed = {}
-            sources[finding.path] = allowed
-        granted = allowed.get(finding.line, ())
-        if finding.rule_id in granted or "*" in granted:
-            continue
-        if any(group in granted and finding.rule_id.startswith(prefixes)
-               for group, prefixes in RULE_GROUPS.items()):
-            continue
-        kept.append(finding)
-    return kept
-
-
 # -- public API ---------------------------------------------------------------
 
 
-def analyze_effects(paths: Sequence[Path],
-                    allowed_globals: Optional[dict[str, str]] = None,
-                    ) -> tuple[list[Finding], EffectStats]:
-    """Run the effect analysis over ``paths`` (files or directories).
-
-    Returns the suppression-filtered findings plus call-graph statistics.
-    ``allowed_globals`` overrides :data:`ALLOWED_GLOBAL_WRITES` (tests
-    probe the contract with an empty allowlist).
-    """
-    if allowed_globals is None:
-        allowed_globals = ALLOWED_GLOBAL_WRITES
+def build_program(files: Sequence[SourceFile]) -> _Program:
+    """The resolved program model over parsed ``files``."""
     program = _Program()
-    for root in paths:
-        for path in iter_python_files(Path(root)):
-            _collect_module(program, path)
+    for file in files:
+        _collect_module(program, file)
     for module in program.modules.values():
         for info in list(program.functions.values()):
             if info.module == module.name:
@@ -1279,9 +1244,22 @@ def analyze_effects(paths: Sequence[Path],
             continue
         if isinstance(info.node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             _FunctionAnalyzer(program, module, info).analyze()
+    return program
+
+
+def check_program(program: _Program,
+                  allowed_globals: Optional[dict[str, str]] = None,
+                  ) -> tuple[list[Finding], EffectStats]:
+    """The three contracts over a built program, plus call-graph stats.
+
+    ``allowed_globals`` overrides :data:`ALLOWED_GLOBAL_WRITES` (tests
+    probe the contract with an empty allowlist).  Suppression comments
+    are applied by the pipeline, not here.
+    """
+    if allowed_globals is None:
+        allowed_globals = ALLOWED_GLOBAL_WRITES
     entries = _discover_entries(program)
     findings = _contract_findings(program, entries, allowed_globals)
-    findings = _filter_suppressed(findings)
     findings.sort(key=lambda f: (str(f.path), f.line, f.rule_id))
 
     graph_edges = sum(len(info.calls) for info in program.functions.values())
@@ -1299,65 +1277,7 @@ def analyze_effects(paths: Sequence[Path],
     return findings, stats
 
 
-def build_program(paths: Sequence[Path]) -> _Program:
-    """The resolved program model (tests inspect graph and summaries)."""
-    program = _Program()
-    for root in paths:
-        for path in iter_python_files(Path(root)):
-            _collect_module(program, path)
-    for module in program.modules.values():
-        for info in list(program.functions.values()):
-            if info.module == module.name:
-                _register_nested(program, module, info)
-    _record_attr_types(program)
-    _analyze_class_bodies(program)
-    for info in program.functions.values():
-        module = program.modules.get(info.module)
-        if module is None:  # pragma: no cover - defensive
-            continue
-        if isinstance(info.node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            _FunctionAnalyzer(program, module, info).analyze()
-    return program
-
-
-# -- rule catalogue (for --list-rules / --rules selection) --------------------
-
-
-class _EffectRule(Rule):
-    """Descriptor-only: the effects pass is whole-program, not per-file."""
-
-    def check(self, tree, path):  # pragma: no cover - never dispatched
-        return iter(())
-
-
-class AmbientReadRule(_EffectRule):
-    rule_id = "effect-ambient-read"
-    summary = ("wall-clock/env/filesystem/process state read reachable "
-               "from a cached entry point")
-
-
-class GlobalWriteRule(_EffectRule):
-    rule_id = "effect-global-write"
-    summary = ("module-global mutation reachable from pool-dispatched or "
-               "cached code (undeclared memo)")
-
-
-class UnkeyedInputRule(_EffectRule):
-    rule_id = "effect-unkeyed-input"
-    summary = ("read of mutated module-global state invisible to the "
-               "cache key")
-
-
-class UnseededRandomRule(_EffectRule):
-    rule_id = "effect-unseeded-random"
-    summary = ("stochastic draw outside des/random_streams reachable from "
-               "a cached or benchmark entry point")
-
-
-EFFECT_RULES = (AmbientReadRule, GlobalWriteRule, UnkeyedInputRule,
-                UnseededRandomRule)
-
-
-def effect_rule_registry() -> dict[str, type[Rule]]:
-    """Rule id -> descriptor class, for --rules selection and the docs."""
-    return {rule.rule_id: rule for rule in EFFECT_RULES}
+def analyze_effects(files: Sequence[SourceFile],
+                    ) -> tuple[list[Finding], EffectStats]:
+    """The effect pass: build the program over ``files`` and check it."""
+    return check_program(build_program(files))

@@ -8,6 +8,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 
+class CheckUsageError(ValueError):
+    """A ``repro check`` request names an unknown pass, rule or model
+    scenario (or a rule outside the selected passes)."""
+
+
 class Severity(enum.Enum):
     """How bad a finding is.
 

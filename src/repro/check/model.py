@@ -48,13 +48,27 @@ from .adversary import (
     channel_items,
     channel_remove,
 )
-from .findings import Finding
+from .findings import CheckUsageError, Finding
 from .spec import MACHINE_PAIRS, StateMachine, machine_by_name
 
 __all__ = ["ModelConfig", "SemanticFlags", "PairModel", "WriteModel",
            "ReadModel", "Violation", "ExploreResult", "ScenarioStats",
            "ModelStats", "explore", "check_model", "scenario_names",
-           "build_scenario"]
+           "build_scenario", "RULES"]
+
+#: Rule id -> summary, in reporting order.
+RULES = {
+    "model-deadlock": "no stuck composite state",
+    "model-unhandled":
+        "every delivered message has a transition or an ignore rule",
+    "model-livelock": ("every transfer completes or cleanly aborts within "
+                       "the retransmit bound"),
+    "model-safety":
+        "no byte lost or duplicated (conservation contract)",
+    "model-conformance":
+        "semantic models simulate exactly the spec machines' edges",
+    "model-depth": "the state space was exhausted within --depth",
+}
 
 #: Synthetic client states: the retransmit budget ran out (clean abort),
 #: and the crashed agent (volatile state lost, network survives).
@@ -1000,8 +1014,9 @@ def check_model(config: Optional[ModelConfig] = None,
     selected = config.scenarios or tuple(builders)
     unknown = [name for name in selected if name not in builders]
     if unknown:
-        raise ValueError(f"unknown model scenario(s): {', '.join(unknown)}; "
-                         f"known: {', '.join(builders)}")
+        raise CheckUsageError(
+            f"unknown model scenario(s): {', '.join(unknown)}; "
+            f"known: {', '.join(builders)}")
     findings: list[Finding] = []
     stats = ModelStats(bounds=config.describe_bounds())
     for name in selected:

@@ -36,9 +36,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .findings import Finding
+from .lint import SourceFile
 from .spec import (
     EXCHANGES,
     MACHINES,
@@ -47,8 +48,20 @@ from .spec import (
     spec_message_names,
 )
 
-__all__ = ["check_protocol", "extract_side", "extract_vocabulary",
+__all__ = ["RULES", "check_protocol", "extract_side", "extract_vocabulary",
            "ProtocolSide"]
+
+#: Rule id -> summary, in reporting order.
+RULES = {
+    "protocol-spec": "spec vocabulary matches agent_protocol.py",
+    "protocol-machine":
+        "state machines are sound (reachability, timeout edges)",
+    "protocol-transition":
+        "every send has a matching receive on the other side",
+    "protocol-timeout": "lossy-transport waits are timeout-guarded",
+    "protocol-conformance":
+        "spec machine edges match implemented send/recv edges both ways",
+}
 
 #: Client-side sources, relative to the package root.
 CLIENT_SOURCES = (
@@ -78,9 +91,8 @@ class ProtocolSide:
                 mine.setdefault(name, line)
 
 
-def extract_vocabulary(path: Path) -> dict[str, int]:
+def extract_vocabulary(tree: ast.Module) -> dict[str, int]:
     """Message class name -> definition line, from agent_protocol.py."""
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return {node.name: node.lineno for node in tree.body
             if isinstance(node, ast.ClassDef)}
 
@@ -102,15 +114,11 @@ def _is_recv_wait(node: ast.Call) -> bool:
     return name == "recv_wait"
 
 
-def extract_side(paths: Iterable[Path],
+def extract_side(trees: Iterable[ast.Module],
                  vocabulary: frozenset[str]) -> ProtocolSide:
-    """Extract sends/receives/guarded-waits from a set of source files."""
+    """Extract sends/receives/guarded-waits from a set of parsed modules."""
     side = ProtocolSide()
-    for path in paths:
-        if not path.exists():
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"),
-                         filename=str(path))
+    for tree in trees:
         side.merge(_extract_module(tree, vocabulary))
     return side
 
@@ -344,19 +352,24 @@ def _check_conformance(client: ProtocolSide, agent: ProtocolSide,
 # -- the full check -----------------------------------------------------------
 
 
-def check_protocol(root: Path) -> list[Finding]:
+def check_protocol(root: Path, files: Sequence[SourceFile]) -> list[Finding]:
     """Verify the protocol implementation under ``root`` (package dir).
 
-    ``root`` is the ``repro`` package directory; returns all findings
-    (empty when implementation, spec and machines agree).
+    ``root`` is the ``repro`` package directory and ``files`` the parsed
+    files under it; returns all findings (empty when implementation,
+    spec and machines agree).
     """
     root = Path(root)
-    vocabulary_path = root / VOCABULARY_SOURCE
-    if not vocabulary_path.exists():
+    trees = {file.path: file.tree for file in files}
+
+    def parsed(*sources: str) -> list[ast.Module]:
+        return [trees[root / rel] for rel in sources if root / rel in trees]
+
+    if not parsed(VOCABULARY_SOURCE):
         # Not a repro checkout (e.g. linting a fixture tree): nothing to do.
         return []
     findings: list[Finding] = []
-    vocabulary = extract_vocabulary(vocabulary_path)
+    vocabulary = extract_vocabulary(parsed(VOCABULARY_SOURCE)[0])
     defined = frozenset(vocabulary)
     spec_path = Path(__file__).resolve().parent / "spec.py"
 
@@ -377,8 +390,8 @@ def check_protocol(root: Path) -> list[Finding]:
     for machine in MACHINES:
         findings.extend(_check_machine(machine, spec_path))
 
-    client = extract_side((root / rel for rel in CLIENT_SOURCES), defined)
-    agent = extract_side([root / AGENT_SOURCE], defined)
+    client = extract_side(parsed(*CLIENT_SOURCES), defined)
+    agent = extract_side(parsed(AGENT_SOURCE), defined)
     agent_path = root / AGENT_SOURCE
 
     findings.extend(_check_conformance(client, agent, defined, spec_path))

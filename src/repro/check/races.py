@@ -26,26 +26,18 @@ suppress individual findings, as for every other rule.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .findings import Finding
-from .lint import Rule
+from .lint import Rule, SourceFile, dotted_name, rule_table, run_rules
 
-__all__ = ["RACE_RULES", "race_rule_registry", "YieldRmwRule",
+__all__ = ["RULES", "RACE_SCAN_SUBDIRS", "race_pass", "YieldRmwRule",
            "LockOrderRule"]
 
-
-def _chain_text(node: ast.expr) -> Optional[str]:
-    """Dotted text of a Name/Attribute chain (``a.b.c``), else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    return ".".join(reversed(parts))
+#: Package subdirectories the race pass audits when no path is given.
+#: The lints model ``yield`` as a preemption point, which only makes
+#: sense for code that runs inside the DES.
+RACE_SCAN_SUBDIRS = ("core", "des", "simnet", "simdisk")
 
 
 def _request_lock_name(item: ast.withitem) -> Optional[str]:
@@ -53,15 +45,15 @@ def _request_lock_name(item: ast.withitem) -> Optional[str]:
     expr = item.context_expr
     if not isinstance(expr, ast.Call):
         return None
-    chain = _chain_text(expr.func)
+    chain = dotted_name(expr.func)
     if chain is None or not chain.endswith(".request"):
         return None
     return chain[: -len(".request")]
 
 
-def _function_nodes(tree: ast.Module):
+def _function_nodes(file: SourceFile):
     """Every function definition in the module (including methods)."""
-    for node in ast.walk(tree):
+    for node in file.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
 
@@ -135,7 +127,7 @@ class _RmwCollector:
         guards = frozenset(self._guards)
         # Writes: any target that is an attribute chain.
         for target in node.targets:
-            chain = _chain_text(target)
+            chain = dotted_name(target)
             if chain is not None and "." in chain:
                 names = {name.id for name in ast.walk(node.value)
                          if isinstance(name, ast.Name)}
@@ -145,7 +137,7 @@ class _RmwCollector:
         if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
             local = node.targets[0].id
             for sub in ast.walk(node.value):
-                chain = _chain_text(sub) if isinstance(
+                chain = dotted_name(sub) if isinstance(
                     sub, ast.Attribute) else None
                 if chain is not None and "." in chain:
                     self.bindings[local] = (chain, position, node, guards)
@@ -176,8 +168,8 @@ class YieldRmwRule(Rule):
     rule_id = "yield-rmw"
     summary = "read-modify-write of a shared attribute spans a yield"
 
-    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
-        for function in _function_nodes(tree):
+    def check(self, file: SourceFile) -> Iterator[Finding]:
+        for function in _function_nodes(file):
             collector = _RmwCollector()
             collector.collect(function)
             if not collector.yields:
@@ -196,7 +188,7 @@ class YieldRmwRule(Rule):
                     if w_guards & b_guards:
                         continue  # one request() hold spans both ends
                     yield self.finding(
-                        path, w_node,
+                        file.path, w_node,
                         f"`{chain}` read into `{local}` on line "
                         f"{b_node.lineno} is stale here: a yield between "
                         "the read and this write lets other processes "
@@ -220,9 +212,9 @@ class LockOrderRule(Rule):
     rule_id = "lock-order"
     summary = "Resource.request() nesting order forms a cycle (deadlock risk)"
 
-    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
+    def check(self, file: SourceFile) -> Iterator[Finding]:
         edges: dict[tuple[str, str], ast.AST] = {}
-        for function in _function_nodes(tree):
+        for function in _function_nodes(file):
             self._collect_edges(function, [], edges)
         graph: dict[str, set[str]] = {}
         for held, acquired in edges:
@@ -238,7 +230,7 @@ class LockOrderRule(Rule):
             first_edge = edges[(cycle[0], cycle[1 % len(cycle)])]
             ordering = " -> ".join(cycle + [cycle[0]])
             yield self.finding(
-                path, first_edge,
+                file.path, first_edge,
                 f"lock-order cycle {ordering}: " + "; ".join(locations) +
                 "; concurrent processes entering these nests in opposite "
                 "order deadlock")
@@ -282,10 +274,13 @@ class LockOrderRule(Rule):
         return found
 
 
-#: Race rule classes in reporting order (the `repro check --races` pass).
-RACE_RULES = (YieldRmwRule, LockOrderRule)
+#: Rule classes of the race pass, in reporting order.
+_CHECKS = (YieldRmwRule, LockOrderRule)
+
+#: Rule id -> summary, for the catalogue.
+RULES = rule_table((rule.rule_id, rule.summary) for rule in _CHECKS)
 
 
-def race_rule_registry() -> dict[str, type[Rule]]:
-    """Race rule id -> rule class, for --rules selection and the docs."""
-    return {rule.rule_id: rule for rule in RACE_RULES}
+def race_pass(files: Sequence[SourceFile]) -> list[Finding]:
+    """The interleaving race lints over parsed files."""
+    return run_rules(_CHECKS, files)

@@ -15,58 +15,22 @@ a human has judged an instance safe.  See docs/CHECKING.md.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .findings import Finding
-from .lint import Rule
+from .lint import ImportMap, Rule, SourceFile, rule_table, run_rules
 
-__all__ = ["DEFAULT_RULES", "rule_registry"]
+__all__ = ["RULES", "lint_pass"]
 
 
 # -- shared AST helpers -------------------------------------------------------
 
 
-class _ImportMap:
-    """Resolves local names back to the modules they came from."""
-
-    def __init__(self, tree: ast.Module):
-        #: local alias -> dotted module name (``import time as t`` -> t: time)
-        self.modules: dict[str, str] = {}
-        #: local name -> fully dotted origin (``from time import time``)
-        self.names: dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.modules[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name)
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    self.names[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}")
-
-    def qualify(self, node: ast.expr) -> Optional[str]:
-        """Dotted origin of a Name/Attribute chain, or None."""
-        parts: list[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        head = node.id
-        if head in self.modules:
-            head = self.modules[head]
-        elif head in self.names:
-            head = self.names[head]
-        parts.append(head)
-        return ".".join(reversed(parts))
-
-
-def _call_name(imports: _ImportMap, call: ast.Call) -> Optional[str]:
+def _call_name(imports: ImportMap, call: ast.Call) -> Optional[str]:
     return imports.qualify(call.func)
 
 
-def _is_set_expression(node: ast.expr, imports: _ImportMap) -> bool:
+def _is_set_expression(node: ast.expr, imports: ImportMap) -> bool:
     """True for a set display, set comprehension, or set()/frozenset() call."""
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
@@ -95,19 +59,19 @@ class RawRandomRule(Rule):
     #: wires while a hermetic block runs — the opposite of drawing.
     exempt_suffixes = ("des/random_streams.py", "check/sanitize.py")
 
-    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
-        for node in ast.walk(tree):
+    def check(self, file: SourceFile) -> Iterator[Finding]:
+        for node in file.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.split(".")[0] == "random":
                         yield self.finding(
-                            path, node,
+                            file.path, node,
                             "import of stdlib `random`; draw variates from "
                             "a named des.RandomStream instead")
             elif isinstance(node, ast.ImportFrom):
                 if node.module and node.module.split(".")[0] == "random":
                     yield self.finding(
-                        path, node,
+                        file.path, node,
                         "import from stdlib `random`; draw variates from "
                         "a named des.RandomStream instead")
 
@@ -134,9 +98,9 @@ class UnseededRngRule(Rule):
         "random.getrandbits", "random.randbytes",
     })
 
-    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
-        imports = _ImportMap(tree)
-        for node in ast.walk(tree):
+    def check(self, file: SourceFile) -> Iterator[Finding]:
+        imports = file.imports
+        for node in file.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = _call_name(imports, node)
@@ -144,14 +108,14 @@ class UnseededRngRule(Rule):
                 continue
             if name in self._MODULE_FUNCTIONS:
                 yield self.finding(
-                    path, node,
+                    file.path, node,
                     f"`{name}()` draws from the shared, OS-seeded global "
                     "RNG; use a seeded des.RandomStream")
             elif name in ("random.Random", "random.SystemRandom"):
                 if name == "random.SystemRandom" or not (
                         node.args or node.keywords):
                     yield self.finding(
-                        path, node,
+                        file.path, node,
                         f"`{name}()` without an explicit seed is "
                         "nondeterministic across runs")
 
@@ -175,15 +139,15 @@ class WallClockRule(Rule):
         "datetime.datetime.today", "datetime.date.today",
     })
 
-    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
-        imports = _ImportMap(tree)
-        for node in ast.walk(tree):
+    def check(self, file: SourceFile) -> Iterator[Finding]:
+        imports = file.imports
+        for node in file.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = _call_name(imports, node)
             if name in self._BANNED:
                 yield self.finding(
-                    path, node,
+                    file.path, node,
                     f"`{name}()` reads the wall clock; simulation code "
                     "must use env.now")
 
@@ -205,7 +169,7 @@ class MutableDefaultRule(Rule):
         "collections.Counter", "collections.OrderedDict",
     })
 
-    def _is_mutable(self, node: ast.expr, imports: _ImportMap) -> bool:
+    def _is_mutable(self, node: ast.expr, imports: ImportMap) -> bool:
         if isinstance(node, (ast.List, ast.Dict, ast.Set,
                              ast.ListComp, ast.DictComp, ast.SetComp)):
             return True
@@ -213,9 +177,9 @@ class MutableDefaultRule(Rule):
             return _call_name(imports, node) in self._MUTABLE_CALLS
         return False
 
-    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
-        imports = _ImportMap(tree)
-        for node in ast.walk(tree):
+    def check(self, file: SourceFile) -> Iterator[Finding]:
+        imports = file.imports
+        for node in file.nodes:
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             arguments = node.args
@@ -229,7 +193,7 @@ class MutableDefaultRule(Rule):
             for arg, default in pairs:
                 if self._is_mutable(default, imports):
                     yield self.finding(
-                        path, default,
+                        file.path, default,
                         f"mutable default for `{arg.arg}` in "
                         f"`{node.name}()` is shared across calls")
 
@@ -248,7 +212,7 @@ class SetIterationRule(Rule):
     _PASSTHROUGH = ("enumerate", "reversed")
 
     def _flag_target(self, node: ast.expr,
-                     imports: _ImportMap) -> Optional[ast.expr]:
+                     imports: ImportMap) -> Optional[ast.expr]:
         if _is_set_expression(node, imports):
             return node
         if isinstance(node, ast.Call):
@@ -258,10 +222,10 @@ class SetIterationRule(Rule):
                 return node.args[0]
         return None
 
-    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
-        imports = _ImportMap(tree)
+    def check(self, file: SourceFile) -> Iterator[Finding]:
+        imports = file.imports
         iters: list[ast.expr] = []
-        for node in ast.walk(tree):
+        for node in file.nodes:
             if isinstance(node, (ast.For, ast.AsyncFor)):
                 iters.append(node.iter)
             elif isinstance(node, (ast.ListComp, ast.SetComp,
@@ -271,7 +235,7 @@ class SetIterationRule(Rule):
             flagged = self._flag_target(target, imports)
             if flagged is not None:
                 yield self.finding(
-                    path, flagged,
+                    file.path, flagged,
                     "iterating a set: order varies between runs; iterate "
                     "`sorted(...)` instead")
 
@@ -288,13 +252,13 @@ class SaltedHashRule(Rule):
     rule_id = "salted-hash"
     summary = "builtin hash() is salted per interpreter run"
 
-    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
-        for node in ast.walk(tree):
+    def check(self, file: SourceFile) -> Iterator[Finding]:
+        for node in file.nodes:
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "hash"):
                 yield self.finding(
-                    path, node,
+                    file.path, node,
                     "builtin hash() output changes with PYTHONHASHSEED; "
                     "use a stable digest")
 
@@ -311,16 +275,16 @@ class ImplicitSeedRule(Rule):
     rule_id = "implicit-seed"
     summary = "StreamFactory() constructed without an explicit master seed"
 
-    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
-        imports = _ImportMap(tree)
-        for node in ast.walk(tree):
+    def check(self, file: SourceFile) -> Iterator[Finding]:
+        imports = file.imports
+        for node in file.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = _call_name(imports, node)
             if name is not None and name.endswith("StreamFactory"):
                 if not node.args and not node.keywords:
                     yield self.finding(
-                        path, node,
+                        file.path, node,
                         "StreamFactory() with no master seed; thread the "
                         "caller's seed through")
             # dataclasses.field(default_factory=StreamFactory) calls
@@ -331,7 +295,7 @@ class ImplicitSeedRule(Rule):
                 target = imports.qualify(keyword.value)
                 if target is not None and target.endswith("StreamFactory"):
                     yield self.finding(
-                        path, keyword.value,
+                        file.path, keyword.value,
                         "default_factory=StreamFactory constructs an "
                         "implicitly seeded factory; require the caller "
                         "to pass one")
@@ -359,8 +323,8 @@ class RecvUnguardedRule(Rule):
     summary = "bare `yield sock.recv()` with no timeout guard"
     exempt_suffixes = ("core/storage_agent.py", "baselines/nfs.py")
 
-    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
-        for node in ast.walk(tree):
+    def check(self, file: SourceFile) -> Iterator[Finding]:
+        for node in file.nodes:
             if not isinstance(node, ast.Yield) or node.value is None:
                 continue
             call = node.value
@@ -368,7 +332,7 @@ class RecvUnguardedRule(Rule):
                     and isinstance(call.func, ast.Attribute)
                     and call.func.attr == "recv"):
                 yield self.finding(
-                    path, node,
+                    file.path, node,
                     "bare `yield .recv()` blocks forever on datagram "
                     "loss; use recv_wait(timeout_s, ...) with a bound")
 
@@ -384,8 +348,8 @@ class RetransmitUnboundedRule(Rule):
     rule_id = "retransmit-unbounded"
     summary = "`while True` retransmit loop without an attempt bound"
 
-    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
-        for node in ast.walk(tree):
+    def check(self, file: SourceFile) -> Iterator[Finding]:
+        for node in file.nodes:
             if not (isinstance(node, ast.While)
                     and isinstance(node.test, ast.Constant)
                     and node.test.value is True):
@@ -395,7 +359,7 @@ class RetransmitUnboundedRule(Rule):
                         and isinstance(inner.func, ast.Attribute)
                         and inner.func.attr == "recv_wait"):
                     yield self.finding(
-                        path, node,
+                        file.path, node,
                         "`while True` around recv_wait retries without "
                         "bound; loop over range(max_retries) and raise "
                         "on exhaustion")
@@ -432,14 +396,14 @@ class TimeoutUnitRule(Rule):
             return self._is_number(node.operand)
         return False
 
-    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
-        for node in ast.walk(tree):
+    def check(self, file: SourceFile) -> Iterator[Finding]:
+        for node in file.nodes:
             if isinstance(node, ast.Assign) and self._is_number(node.value):
                 for target in node.targets:
                     if (isinstance(target, ast.Name)
                             and self._is_bad_name(target.id)):
                         yield self.finding(
-                            path, target,
+                            file.path, target,
                             f"`{target.id}` bound to a bare number: name "
                             "the unit (e.g. `timeout_s`)")
             elif isinstance(node, ast.AnnAssign) and node.value is not None \
@@ -447,7 +411,7 @@ class TimeoutUnitRule(Rule):
                 if (isinstance(node.target, ast.Name)
                         and self._is_bad_name(node.target.id)):
                     yield self.finding(
-                        path, node.target,
+                        file.path, node.target,
                         f"`{node.target.id}` bound to a bare number: name "
                         "the unit (e.g. `timeout_s`)")
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -463,7 +427,7 @@ class TimeoutUnitRule(Rule):
                 for arg, default in pairs:
                     if self._is_bad_name(arg.arg) and self._is_number(default):
                         yield self.finding(
-                            path, default,
+                            file.path, default,
                             f"parameter `{arg.arg}` defaults to a bare "
                             "number: name the unit (e.g. `timeout_s`)")
             elif isinstance(node, ast.Call):
@@ -472,13 +436,13 @@ class TimeoutUnitRule(Rule):
                             and self._is_bad_name(keyword.arg)
                             and self._is_number(keyword.value)):
                         yield self.finding(
-                            path, keyword.value,
+                            file.path, keyword.value,
                             f"keyword `{keyword.arg}` passed a bare "
                             "number: name the unit (e.g. `timeout_s`)")
 
 
-#: Rule classes in reporting order; instantiate to get a default rule set.
-DEFAULT_RULES = (
+#: Rule classes of the determinism pass, in reporting order.
+_CHECKS = (
     RawRandomRule,
     UnseededRngRule,
     WallClockRule,
@@ -491,7 +455,10 @@ DEFAULT_RULES = (
     TimeoutUnitRule,
 )
 
+#: Rule id -> summary, for the catalogue.
+RULES = rule_table((rule.rule_id, rule.summary) for rule in _CHECKS)
 
-def rule_registry() -> dict[str, type[Rule]]:
-    """Rule id -> rule class, for --rules selection and the docs."""
-    return {rule.rule_id: rule for rule in DEFAULT_RULES}
+
+def lint_pass(files: Sequence[SourceFile]) -> list[Finding]:
+    """The determinism lint rules over parsed files."""
+    return run_rules(_CHECKS, files)

@@ -40,22 +40,29 @@ compatible with everything, so only high-confidence confusions fire.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional, Sequence
 
 from .findings import Finding
-from .lint import Rule
-from .rules import _ImportMap
+from .lint import SourceFile
 
-__all__ = ["UNIT_RULES", "unit_rule_registry", "analyze_units", "Dim",
-           "name_dim", "UNIT_RULE_GROUP"]
+__all__ = ["RULES", "units_pass", "analyze_units", "Dim", "name_dim",
+           "UNIT_RULE_GROUP"]
 
 #: Allow-comment group id: ``# repro: allow[units]`` covers every
-#: ``unit-*`` rule (see LintEngine suppression handling).
+#: ``unit-*`` rule (see ``lint.RULE_GROUPS``).
 UNIT_RULE_GROUP = "units"
 
 #: The one module allowed to contain raw conversion factors.
 BLESSED_SUFFIXES = ("repro/units.py",)
+
+#: Rule id -> summary, in reporting order.
+RULES = {
+    "unit-mismatch":
+        "arithmetic mixes incompatible dimensions (s+bytes, Mb/MB)",
+    "unit-bitbyte": "raw *8 or /8 bit-byte conversion outside repro.units",
+    "unit-magic":
+        "magic scale constant (1000, 1e6, 1024) on a dimensioned value",
+}
 
 
 # -- the dimension algebra ----------------------------------------------------
@@ -298,17 +305,11 @@ class _Scope:
 
 
 class _UnitInterpreter:
-    """Walks one module, inferring dimensions and collecting findings.
+    """Walks one module, inferring dimensions and collecting findings,
+    each tagged with its specific rule id."""
 
-    Findings are tagged with their specific rule id; the Rule facades
-    below filter by id so ``--rules`` selection and per-rule exemptions
-    keep working.
-    """
-
-    def __init__(self, tree: ast.Module, path: Path):
+    def __init__(self, tree: ast.Module):
         self.tree = tree
-        self.path = path
-        self.imports = _ImportMap(tree)
         self.findings: list[tuple[str, ast.AST, str]] = []
 
     # -- entry point --------------------------------------------------------
@@ -566,51 +567,16 @@ class _UnitInterpreter:
                     "converter from repro.units"))
 
 
-def analyze_units(tree: ast.Module, path: Path) -> list[tuple[str, ast.AST,
-                                                              str]]:
+def analyze_units(tree: ast.Module) -> list[tuple[str, ast.AST, str]]:
     """All unit findings of one module as (rule_id, node, message)."""
-    return _UnitInterpreter(tree, path).run()
+    return _UnitInterpreter(tree).run()
 
 
-# -- Rule facades (one per id, for --rules selection and exemptions) ----------
-
-
-class _UnitRuleBase(Rule):
-    """Shared driver: run the interpreter, keep this rule's findings."""
-
-    exempt_suffixes = BLESSED_SUFFIXES
-
-    def check(self, tree: ast.Module, path: Path) -> Iterator[Finding]:
-        for rule_id, node, message in analyze_units(tree, path):
-            if rule_id == self.rule_id:
-                yield self.finding(path, node, message)
-
-
-class UnitMismatchRule(_UnitRuleBase):
-    """Additive/comparison/assignment dimension confusion."""
-
-    rule_id = "unit-mismatch"
-    summary = "arithmetic mixes incompatible dimensions (s+bytes, Mb/MB)"
-
-
-class BitByteRule(_UnitRuleBase):
-    """Inline *8 and /8 conversions outside repro/units.py."""
-
-    rule_id = "unit-bitbyte"
-    summary = "raw *8 or /8 bit-byte conversion outside repro.units"
-
-
-class MagicFactorRule(_UnitRuleBase):
-    """Inline 1000/1e6/1024 scale factors on dimensioned quantities."""
-
-    rule_id = "unit-magic"
-    summary = "magic scale constant (1000, 1e6, 1024) on a dimensioned value"
-
-
-#: Rule classes of the ``--units`` pass, in reporting order.
-UNIT_RULES = (UnitMismatchRule, BitByteRule, MagicFactorRule)
-
-
-def unit_rule_registry() -> dict[str, type[Rule]]:
-    """Rule id -> rule class, for --rules selection and the docs."""
-    return {rule.rule_id: rule for rule in UNIT_RULES}
+def units_pass(files: Sequence[SourceFile]) -> list[Finding]:
+    """One interpreter run per file, every unit rule id at once; the
+    blessed ``repro/units.py`` is exempt."""
+    return [Finding(rule_id=rule_id, path=file.path,
+                    line=getattr(node, "lineno", 1), message=message)
+            for file in files
+            if not file.path.as_posix().endswith(BLESSED_SUFFIXES)
+            for rule_id, node, message in analyze_units(file.tree)]

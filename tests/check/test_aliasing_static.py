@@ -5,9 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import ALIAS_RULES, alias_rule_registry
-from repro.check.aliasing import analyze_aliasing
-from repro.check.lint import LintEngine
+from repro.check import run_check
+from repro.check.aliasing import RULES, analyze_aliasing
 from repro.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "aliasing"
@@ -29,8 +28,8 @@ ALIAS_FIXTURES = {
 }
 
 
-def _alias_engine():
-    return LintEngine(rules=[rule() for rule in ALIAS_RULES])
+def _alias_findings(path):
+    return run_check([path], ["aliasing"]).findings
 
 
 def _findings(source: str, name: str = "core/distribution.py"):
@@ -158,38 +157,38 @@ def test_rebinding_clears_pool_retirement():
         "    return event\n") == []
 
 
-# -- rule facades over the fixtures -------------------------------------------
+# -- the aliasing pass over the fixtures -------------------------------------------
 
 
 @pytest.mark.parametrize("fixture,expected", sorted(ALIAS_FIXTURES.items()))
 def test_alias_fixture_fires_exactly_once(fixture, expected):
     rule_id, fingerprint = expected
-    findings = _alias_engine().check_file(FIXTURES / fixture)
+    findings = _alias_findings(FIXTURES / fixture)
     assert [f.rule_id for f in findings] == [rule_id], findings
     assert findings[0].fingerprint == fingerprint
     assert findings[0].line > 1  # anchored at the bug, not the module
 
 
 def test_clean_fixture_has_zero_findings():
-    assert _alias_engine().check_file(
+    assert _alias_findings(
         FIXTURES / "fixture_alias_clean.py") == []
 
 
 def test_allow_aliasing_group_suppresses_all_alias_rules():
     # The flagged line fires both view-escape and hidden-copy without
     # the comment; one group suppression covers both.
-    findings = _alias_engine().check_file(
+    findings = _alias_findings(
         FIXTURES / "fixture_alias_suppressed.py")
     assert findings == []
 
 
 def test_every_alias_rule_has_a_fixture():
     expected = {rule for rule, _ in ALIAS_FIXTURES.values()}
-    assert expected == set(alias_rule_registry())
+    assert expected == set(RULES)
 
 
 def test_package_is_alias_clean():
-    findings = _alias_engine().check_tree(PACKAGE)
+    findings = _alias_findings(PACKAGE)
     assert findings == [], [str(f) for f in findings]
 
 

@@ -131,3 +131,135 @@ def test_model_json_report(capsys):
 def test_model_unknown_scenario_is_an_error():
     with pytest.raises(SystemExit, match="unknown model scenario"):
         main(["check", "--model", "--scenarios", "pair:bogus"])
+
+
+# -- one pipeline: composed flags, --all options, one parse -------------------
+
+
+def _report(capsys, *args):
+    main(["check", "--json", *args])
+    return json.loads(capsys.readouterr().out)
+
+
+def test_pass_flags_compose_into_one_report(capsys):
+    report = _report(capsys, "--units", "--aliasing", FIXTURES)
+    rules = set(report["summary"]["by_rule"])
+    assert {"unit-mismatch", "view-escape", "pool-leak"} <= rules
+    assert [entry["name"] for entry in report["passes"]] == [
+        "units", "aliasing"]
+
+
+def test_aliasing_defects_fail_a_units_clean_path(capsys):
+    aliasing = str(Path(FIXTURES) / "aliasing")
+    assert main(["check", "--units", aliasing]) == 0
+    capsys.readouterr()
+    assert main(["check", "--units", "--aliasing", aliasing]) == 1
+    assert "view-escape" in capsys.readouterr().out
+
+
+def test_all_honours_scenarios(capsys):
+    report = _report(capsys, "--all", "--retransmits", "1",
+                     "--scenarios", "pair:close", FIXTURES)
+    assert [s["name"] for s in report["model"]["scenarios"]] == [
+        "pair:close"]
+
+
+def test_all_honours_rules(capsys):
+    report = _report(capsys, "--all", "--retransmits", "1",
+                     "--scenarios", "pair:close", "--rules", "wall-clock",
+                     FIXTURES)
+    assert report["summary"]["by_rule"] == {"wall-clock": 1}
+
+
+def test_all_honours_root_for_the_races_pass(capsys):
+    report = _report(capsys, "--all", "--retransmits", "1",
+                     "--scenarios", "pair:close", "--root", FIXTURES)
+    assert {"yield-rmw", "lock-order"} <= set(report["summary"]["by_rule"])
+
+
+def test_rule_outside_the_selected_passes_is_an_error():
+    with pytest.raises(SystemExit, match="not selected"):
+        main(["check", "--races", "--rules", "wall-clock"])
+
+
+def test_list_rules_prints_each_catalogue_id_once(capsys):
+    from repro.check import CATALOGUE, PASSES
+
+    assert main(["check", "--list-rules"]) == 0
+    printed = [line.split()[0]
+               for line in capsys.readouterr().out.splitlines()]
+    assert sorted(printed) == sorted(CATALOGUE)
+    # No id is claimed by two passes.
+    assert sum(len(spec.rules) for spec in PASSES) == len(CATALOGUE)
+
+
+def test_rule_ids_are_never_shadowed():
+    from repro.check import PASSES
+    from repro.check import protocol, rules
+    from repro.check.lint import rule_table
+
+    determinism = PASSES[0]
+    assert determinism.name == "determinism"
+    assert len(rules.RULES) + len(protocol.RULES) == len(determinism.rules)
+    with pytest.raises(ValueError, match="defined twice"):
+        rule_table([("wall-clock", "a"), ("wall-clock", "b")])
+
+
+def test_unparseable_file_is_one_finding_across_passes(capsys, tmp_path):
+    (tmp_path / "broken.py").write_text("def f(:\n    pass\n")
+    code = main(["check", "--json", "--units", "--aliasing", "--effects",
+                 str(tmp_path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert [f["rule"] for f in report["findings"]] == ["syntax-error"]
+
+
+def test_model_findings_ignore_allow_comments(tmp_path, monkeypatch):
+    # Allow comments cover the audited sources; a model finding stays
+    # whether or not its anchor file is among them.
+    from repro.check import Finding, model, run_check
+
+    anchor = tmp_path / "spec_like.py"
+    anchor.write_text("# repro: allow[model-conformance]\nx = 1\n")
+    finding = Finding(rule_id="model-conformance", path=anchor, line=2,
+                      message="spec and model disagree")
+    monkeypatch.setattr(model, "check_model",
+                        lambda config: ([finding], None))
+    for passes in (["model"], ["determinism", "model"]):
+        report = run_check([anchor], passes)
+        assert report.findings == [finding], passes
+
+
+def test_internal_errors_are_not_reported_as_usage_errors(monkeypatch):
+    # Only bad input becomes a one-line SystemExit; a fault inside a
+    # pass keeps its traceback.
+    from repro.check import units
+
+    def broken(files):
+        raise ValueError("analysis fault")
+
+    monkeypatch.setattr(units, "units_pass", broken)
+    with pytest.raises(ValueError, match="analysis fault"):
+        main(["check", "--units", FIXTURES])
+
+
+def test_all_parses_each_file_exactly_once(capsys, monkeypatch):
+    import ast
+    from collections import Counter
+
+    from repro.check import iter_python_files
+
+    parses = Counter()
+    real_parse = ast.parse
+
+    def counting_parse(source, filename="<unknown>", *args, **kwargs):
+        if str(filename).endswith(".py"):
+            parses[Path(filename).resolve()] += 1
+        return real_parse(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    main(["check", "--all", "--scenarios", "pair:close", FIXTURES])
+    capsys.readouterr()
+    expected = {path.resolve() for path in iter_python_files(Path(FIXTURES))}
+    assert set(parses) == expected
+    assert set(parses.values()) == {1}, parses.most_common(3)

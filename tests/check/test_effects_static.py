@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import EFFECT_RULES, effect_rule_registry
+from repro.check import CATALOGUE, parse_files, run_check
 from repro.check.effects import (
     ALLOWED_GLOBAL_WRITES,
+    RULES,
     analyze_effects,
     build_program,
+    check_program,
     compute_summaries,
     _discover_entries,
     _reachable,
@@ -38,13 +40,23 @@ EFFECT_FIXTURES = {
 }
 
 
+@pytest.fixture(scope="module")
+def package_program():
+    """The package's effect program, built once for every test here."""
+    return build_program(parse_files([PACKAGE]))
+
+
+def _effects(*paths):
+    return analyze_effects(parse_files(paths))
+
+
 # -- fixtures -----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("fixture,expected", sorted(EFFECT_FIXTURES.items()))
 def test_effect_fixture_fires_exactly_once(fixture, expected):
     rule_id, fingerprint = expected
-    findings, _ = analyze_effects([FIXTURES / fixture])
+    findings, _ = _effects(FIXTURES / fixture)
     assert [f.rule_id for f in findings] == [rule_id], findings
     assert findings[0].fingerprint == fingerprint
     assert findings[0].line > 1  # anchored at the bug, not the module
@@ -52,7 +64,7 @@ def test_effect_fixture_fires_exactly_once(fixture, expected):
 
 
 def test_clean_fixture_has_zero_findings():
-    findings, stats = analyze_effects([FIXTURES / "fixture_effect_clean.py"])
+    findings, stats = _effects(FIXTURES / "fixture_effect_clean.py")
     assert findings == []
     # The clean fixture declares all three entry kinds via markers.
     assert stats.cached_entries and stats.worker_entries
@@ -60,20 +72,21 @@ def test_clean_fixture_has_zero_findings():
 
 
 def test_allow_effects_group_suppresses_the_pass():
-    findings, _ = analyze_effects(
-        [FIXTURES / "fixture_effect_suppressed.py"])
-    assert findings == []
+    # Suppression is the pipeline's job: the raw analysis still sees it.
+    path = FIXTURES / "fixture_effect_suppressed.py"
+    assert _effects(path)[0]
+    assert run_check([path], ["effects"]).findings == []
 
 
 def test_every_effect_rule_has_a_fixture():
     expected = {rule for rule, _ in EFFECT_FIXTURES.values()}
-    assert expected == set(effect_rule_registry())
-    assert expected == {rule.rule_id for rule in EFFECT_RULES}
+    assert expected == set(RULES)
+    assert expected == {rule for rule, name in CATALOGUE.items()
+                        if name == "effects"}
 
 
 def test_finding_is_anchored_at_the_violation_not_the_entry():
-    findings, _ = analyze_effects(
-        [FIXTURES / "fixture_effect_time_service.py"])
+    findings, _ = _effects(FIXTURES / "fixture_effect_time_service.py")
     (finding,) = findings
     source = (FIXTURES / "fixture_effect_time_service.py").read_text()
     flagged = source.splitlines()[finding.line - 1]
@@ -84,16 +97,16 @@ def test_finding_is_anchored_at_the_violation_not_the_entry():
 
 
 def test_call_chain_crosses_two_hops():
-    findings, _ = analyze_effects(
-        [FIXTURES / "fixture_effect_time_service.py"])
+    findings, _ = _effects(FIXTURES / "fixture_effect_time_service.py")
     chain = findings[0].message.splitlines()[1]
     assert "run_cached" in chain
     assert "_disk_pass" in chain
     assert "service_time" in chain
 
 
-def test_package_entry_discovery_finds_declared_and_syntactic_entries():
-    program = build_program([PACKAGE])
+def test_package_entry_discovery_finds_declared_and_syntactic_entries(
+        package_program):
+    program = package_program
     entries = _discover_entries(program)
     assert "repro.sim.parallel._run_config" in entries["cached"]
     assert "repro.sim.model.SwiftSimModel.run" in entries["cached"]
@@ -103,8 +116,8 @@ def test_package_entry_discovery_finds_declared_and_syntactic_entries():
     assert "repro.sim.figures.figure3_series" in entries["bench"]
 
 
-def test_cached_reachability_covers_the_model_internals():
-    program = build_program([PACKAGE])
+def test_cached_reachability_covers_the_model_internals(package_program):
+    program = package_program
     entries = _discover_entries(program)
     reachable = _reachable(program, entries["cached"])
     for expected in ("repro.sim.model.SwiftSimModel._generator",
@@ -113,27 +126,28 @@ def test_cached_reachability_covers_the_model_internals():
         assert expected in reachable, expected
 
 
-def test_function_level_import_resolves_the_lazy_cycle_break():
+def test_function_level_import_resolves_the_lazy_cycle_break(
+        package_program):
     # `_run_max_sustainable` imports find_max_sustainable inside the
     # function body (the lazy-import idiom); the edge must still exist.
-    program = build_program([PACKAGE])
-    info = program.functions["repro.sim.parallel._run_max_sustainable"]
+    info = package_program.functions["repro.sim.parallel._run_max_sustainable"]
     assert "repro.sim.sweep.find_max_sustainable" in info.calls
 
 
 def test_summaries_propagate_effects_bottom_up():
-    program = build_program([FIXTURES / "fixture_effect_time_service.py"])
+    program = build_program(
+        parse_files([FIXTURES / "fixture_effect_time_service.py"]))
     summaries = compute_summaries(program)
     entry = next(name for name in summaries if name.endswith("run_cached"))
     assert "time" in summaries[entry]
 
 
-def test_blessed_memo_is_the_only_package_global_write():
+def test_blessed_memo_is_the_only_package_global_write(package_program):
     # With an *empty* allowlist the pass must surface exactly the
     # `_code_version_cache` memo — proof the analysis walks the real
     # worker -> sweep -> cache chain, and that the tree has no other
     # reachable global mutation.
-    findings, _ = analyze_effects([PACKAGE], allowed_globals={})
+    findings, _ = check_program(package_program, allowed_globals={})
     assert [f.rule_id for f in findings] == ["effect-global-write"]
     assert "_code_version_cache" in findings[0].message
     assert "config_key" in findings[0].message  # the chain is reported
@@ -148,8 +162,8 @@ def test_allowed_global_writes_is_declared_with_a_reason():
 # -- the shipped tree ---------------------------------------------------------
 
 
-def test_package_is_effect_clean():
-    findings, _ = analyze_effects([PACKAGE])
+def test_package_is_effect_clean(package_program):
+    findings, _ = check_program(package_program)
     assert findings == [], [str(f) for f in findings]
 
 
@@ -208,7 +222,7 @@ def test_cli_effects_rejects_unknown_rule():
 def test_cli_list_rules_mentions_effect_rules(capsys):
     assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule_id in effect_rule_registry():
+    for rule_id in RULES:
         assert rule_id in out
 
 
@@ -231,9 +245,11 @@ def test_cli_all_merges_passes_and_reports_timing(capsys):
 
 def test_cli_all_fails_on_any_pass(capsys):
     # Pointed at the effects fixtures, the merged run must fail and the
-    # effects pass must be the one reporting.
+    # effects pass must be the one reporting.  The model pass reads no
+    # path, so exploring all its scenarios again here would only repeat
+    # the run above; one scenario keeps it in the merge.
     assert main(["check", "--all", "--retransmits", "1", "--json",
-                 str(FIXTURES)]) == 1
+                 "--scenarios", "pair:close", str(FIXTURES)]) == 1
     report = json.loads(capsys.readouterr().out)
     by_pass = {entry["name"]: entry["findings"]
                for entry in report["passes"]}

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import LintEngine, run_check
-from repro.check.rules import DEFAULT_RULES, rule_registry
+from repro.check import run_check
+from repro.check.rules import _CHECKS, RULES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -26,7 +26,7 @@ RULE_FIXTURES = {
 
 @pytest.mark.parametrize("fixture,rule_id", sorted(RULE_FIXTURES.items()))
 def test_rule_fires_exactly_once(fixture, rule_id):
-    findings = LintEngine().check_file(FIXTURES / fixture)
+    findings = run_check([FIXTURES / fixture]).findings
     hits = [f for f in findings if f.rule_id == rule_id]
     assert len(hits) == 1, (fixture, findings)
     assert hits[0].line > 1  # anchored at the violation, not the module
@@ -35,12 +35,13 @@ def test_rule_fires_exactly_once(fixture, rule_id):
 
 def test_every_rule_has_a_fixture():
     covered = set(RULE_FIXTURES.values())
-    assert covered == set(rule_registry()), "add a fixture for new rules"
-    assert len(DEFAULT_RULES) == len(rule_registry())
+    assert covered == set(RULES), "add a fixture for new rules"
+    # Two rule classes sharing one id would collapse into one entry.
+    assert len(_CHECKS) == len(RULES)
 
 
 def test_suppression_comment_silences_findings():
-    findings = LintEngine().check_file(FIXTURES / "fixture_suppressed.py")
+    findings = run_check([FIXTURES / "fixture_suppressed.py"]).findings
     assert findings == []
 
 
@@ -54,30 +55,30 @@ def test_trailing_suppression_does_not_leak_to_next_line(tmp_path):
         "b = time.time()\n"
         "# repro: allow[wall-clock]\n"
         "c = time.time()\n")
-    findings = LintEngine().check_file(module)
+    findings = run_check([module]).findings
     assert [f.line for f in findings if f.rule_id == "wall-clock"] == [3]
 
 
 def test_unsuppressed_twin_still_fires():
     # The suppressed fixture's twin (wall_clock) proves the allow comment,
     # not the rule, is what differs.
-    findings = LintEngine().check_file(FIXTURES / "fixture_wall_clock.py")
+    findings = run_check([FIXTURES / "fixture_wall_clock.py"]).findings
     assert any(f.rule_id == "wall-clock" for f in findings)
 
 
 def test_fixture_tree_fails_as_a_whole():
-    findings = LintEngine().check_tree(FIXTURES)
-    assert {f.rule_id for f in findings} == set(rule_registry())
+    findings = run_check([FIXTURES]).findings
+    assert {f.rule_id for f in findings} == set(RULES)
 
 
 def test_exemption_for_random_streams():
     # The one legitimate home of `import random` is never flagged.
     import repro.des.random_streams as module
-    findings = LintEngine().check_file(Path(module.__file__))
+    findings = run_check([Path(module.__file__)]).findings
     assert [f for f in findings if f.rule_id == "raw-random"] == []
 
 
 def test_repository_lints_clean():
     # The acceptance bar: the shipped code base has zero violations.
-    findings = run_check()
+    findings = run_check().findings
     assert findings == [], [f.format() for f in findings]

@@ -2,14 +2,14 @@
 
 from pathlib import Path
 
+from repro.check.lint import parse_file, parse_files
 from repro.check.protocol import (
     AGENT_SOURCE,
     VOCABULARY_SOURCE,
-    check_protocol,
     extract_side,
     extract_vocabulary,
 )
-from repro.check.protocol import _check_machine
+from repro.check.protocol import _check_machine, check_protocol
 from repro.check.spec import (
     EXCHANGES,
     MACHINES,
@@ -19,6 +19,10 @@ from repro.check.spec import (
 )
 
 PACKAGE_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
+
+
+def _protocol_findings(root: Path):
+    return check_protocol(root, parse_files([root]))
 
 
 def _write_synthetic_tree(root: Path, *, drop_receive=None,
@@ -61,25 +65,26 @@ def _write_synthetic_tree(root: Path, *, drop_receive=None,
 
 
 def test_real_sources_satisfy_the_spec():
-    assert check_protocol(PACKAGE_ROOT) == []
+    assert _protocol_findings(PACKAGE_ROOT) == []
 
 
 def test_extraction_sees_both_sides():
     vocabulary = frozenset(
-        extract_vocabulary(PACKAGE_ROOT / VOCABULARY_SOURCE))
-    agent = extract_side([PACKAGE_ROOT / AGENT_SOURCE], vocabulary)
+        extract_vocabulary(parse_file(PACKAGE_ROOT / VOCABULARY_SOURCE).tree))
+    agent = extract_side([parse_file(PACKAGE_ROOT / AGENT_SOURCE).tree],
+                         vocabulary)
     assert "WriteRequest" in agent.receives
     assert "WriteNak" in agent.sends and "WriteAck" in agent.sends
 
 
 def test_synthetic_complete_tree_is_clean(tmp_path):
     _write_synthetic_tree(tmp_path)
-    assert check_protocol(tmp_path) == []
+    assert _protocol_findings(tmp_path) == []
 
 
 def test_missing_receive_arm_is_an_illegal_transition(tmp_path):
     _write_synthetic_tree(tmp_path, drop_receive="WriteData")
-    findings = check_protocol(tmp_path)
+    findings = _protocol_findings(tmp_path)
     assert any(
         f.rule_id == "protocol-transition"
         and "WriteData" in f.message
@@ -89,14 +94,14 @@ def test_missing_receive_arm_is_an_illegal_transition(tmp_path):
 
 def test_unguarded_reply_wait_is_flagged(tmp_path):
     _write_synthetic_tree(tmp_path, drop_timeout_guard="WriteAck")
-    findings = check_protocol(tmp_path)
+    findings = _protocol_findings(tmp_path)
     assert any(f.rule_id == "protocol-timeout" and "WriteAck" in f.message
                for f in findings), [f.message for f in findings]
 
 
 def test_undeclared_agent_message_is_flagged(tmp_path):
     _write_synthetic_tree(tmp_path, extra_agent_send="RogueReply")
-    findings = check_protocol(tmp_path)
+    findings = _protocol_findings(tmp_path)
     assert any(f.rule_id == "protocol-transition"
                and "RogueReply" in f.message for f in findings)
     # The rogue class is also undocumented vocabulary.
@@ -141,7 +146,7 @@ def test_servers_may_await_requests_without_timeout_edges():
 
 def test_missing_receive_arm_is_also_a_conformance_gap(tmp_path):
     _write_synthetic_tree(tmp_path, drop_receive="WriteData")
-    findings = check_protocol(tmp_path)
+    findings = _protocol_findings(tmp_path)
     assert any(
         f.rule_id == "protocol-conformance"
         and "recv WriteData" in f.message
@@ -152,7 +157,7 @@ def test_undeclared_send_is_a_conformance_gap(tmp_path):
     _write_synthetic_tree(tmp_path, extra_agent_send="WriteData")
     # WriteData is spec vocabulary, so the vocabulary pass stays quiet —
     # but no *agent* machine has a `send WriteData` edge.
-    findings = check_protocol(tmp_path)
+    findings = _protocol_findings(tmp_path)
     assert any(
         f.rule_id == "protocol-conformance"
         and "agent code sends WriteData" in f.message

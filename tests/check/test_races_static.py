@@ -2,20 +2,21 @@
 
 from pathlib import Path
 
-from repro.check import RACE_RULES, race_rule_registry
-from repro.check.cli import RACE_SCAN_SUBDIRS, main
-from repro.check.lint import LintEngine
+from repro.check import CATALOGUE, run_check
+from repro.check.cli import main
+from repro.check import races as race_rules
+from repro.check.races import RACE_SCAN_SUBDIRS
 
 FIXTURES = Path(__file__).parent / "fixtures"
 PACKAGE = Path(__file__).parents[2] / "src" / "repro"
 
 
-def _race_engine():
-    return LintEngine(rules=[rule() for rule in RACE_RULES])
+def _race_findings(path):
+    return run_check([path], ["races"]).findings
 
 
 def test_yield_rmw_fires_exactly_once_on_its_fixture():
-    findings = _race_engine().check_file(FIXTURES / "fixture_yield_rmw.py")
+    findings = _race_findings(FIXTURES / "fixture_yield_rmw.py")
     hits = [f for f in findings if f.rule_id == "yield-rmw"]
     assert len(hits) == 1, findings
     # The unguarded write-back line, not the guarded twin below it.
@@ -26,19 +27,19 @@ def test_yield_rmw_fires_exactly_once_on_its_fixture():
 def test_guarded_rmw_is_clean():
     # fixture_yield_rmw.py's second function holds a request() across the
     # read and the write-back; only the unguarded one may fire.
-    findings = _race_engine().check_file(FIXTURES / "fixture_yield_rmw.py")
+    findings = _race_findings(FIXTURES / "fixture_yield_rmw.py")
     assert len(findings) == 1
 
 
 def test_lock_order_reports_the_cycle_once():
-    findings = _race_engine().check_file(FIXTURES / "fixture_lock_order.py")
+    findings = _race_findings(FIXTURES / "fixture_lock_order.py")
     hits = [f for f in findings if f.rule_id == "lock-order"]
     assert len(hits) == 1, findings
     message = hits[0].message
     assert "disk" in message and "ring" in message
 
 
-def test_consistent_nesting_order_is_clean():
+def test_consistent_nesting_order_is_clean(tmp_path):
     source = (
         "def one(env, a, b):\n"
         "    with a.request() as ga:\n"
@@ -52,9 +53,9 @@ def test_consistent_nesting_order_is_clean():
         "        with b.request() as gb:\n"
         "            yield gb\n"
     )
-    import ast
-    findings = list(RACE_RULES[1]().check(ast.parse(source), Path("x.py")))
-    assert findings == []
+    path = tmp_path / "x.py"
+    path.write_text(source)
+    assert _race_findings(path) == []
 
 
 def test_allow_comment_suppresses_race_findings(tmp_path):
@@ -66,28 +67,31 @@ def test_allow_comment_suppresses_race_findings(tmp_path):
     )
     path = tmp_path / "suppressed.py"
     path.write_text(source)
-    assert _race_engine().check_file(path) == []
+    assert _race_findings(path) == []
 
 
 def test_race_fixtures_do_not_trip_the_determinism_rules():
     # The default pass must stay blind to the race fixtures, so the
     # existing fixture-tree invariants keep holding.
     for name in ("fixture_yield_rmw.py", "fixture_lock_order.py"):
-        assert LintEngine().check_file(FIXTURES / name) == []
+        assert run_check([FIXTURES / name]).findings == []
 
 
 def test_shipped_des_facing_code_is_race_clean():
-    engine = _race_engine()
-    findings = []
     for sub in RACE_SCAN_SUBDIRS:
-        root = PACKAGE / sub
-        assert root.is_dir(), root
-        findings.extend(engine.check_tree(root))
-    assert findings == [], [f.format() for f in findings]
+        assert (PACKAGE / sub).is_dir(), sub
+    # With no path, the races pass audits exactly the DES-facing subpackages.
+    report = run_check(passes=["races"])
+    assert report.files_checked == sum(
+        1 for sub in RACE_SCAN_SUBDIRS
+        for _ in (PACKAGE / sub).rglob("*.py"))
+    assert report.findings == [], [f.format() for f in report.findings]
 
 
 def test_registry_exposes_both_rules():
-    assert set(race_rule_registry()) == {"yield-rmw", "lock-order"}
+    races = {rule for rule, name in CATALOGUE.items() if name == "races"}
+    assert races == {"yield-rmw", "lock-order"}
+    assert len(race_rules._CHECKS) == len(race_rules.RULES)
 
 
 def test_cli_races_pass_is_clean_on_the_repository(capsys):

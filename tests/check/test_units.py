@@ -5,13 +5,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.check import UNIT_RULES, unit_rule_registry
-from repro.check.lint import LintEngine
+from repro.check import run_check
 from repro.check.units import (
     BITS_PER_S,
     BYTES,
     BYTES_PER_S,
     DIMENSIONLESS,
+    RULES,
     SECONDS,
     Dim,
     analyze_units,
@@ -32,12 +32,12 @@ UNIT_FIXTURES = {
 }
 
 
-def _unit_engine():
-    return LintEngine(rules=[rule() for rule in UNIT_RULES])
+def _unit_findings(path):
+    return run_check([path], ["units"]).findings
 
 
 def _findings(source: str):
-    return analyze_units(ast.parse(source), Path("mod.py"))
+    return analyze_units(ast.parse(source))
 
 
 # -- the dimension algebra ----------------------------------------------------
@@ -192,38 +192,38 @@ def test_unknown_poisons_instead_of_guessing():
         "    return factor * delay_s < nbytes\n") == []
 
 
-# -- rule facades over the fixtures -------------------------------------------
+# -- the units pass over the fixtures -------------------------------------------
 
 
 @pytest.mark.parametrize("fixture,rule_id", sorted(UNIT_FIXTURES.items()))
 def test_unit_fixture_fires_exactly_once(fixture, rule_id):
-    findings = _unit_engine().check_file(FIXTURES / fixture)
+    findings = _unit_findings(FIXTURES / fixture)
     assert [f.rule_id for f in findings] == [rule_id], findings
     assert findings[0].line > 1  # anchored at the bug, not the module
 
 
 def test_clean_fixture_has_zero_findings():
-    assert _unit_engine().check_file(FIXTURES / "fixture_unit_clean.py") == []
+    assert _unit_findings(FIXTURES / "fixture_unit_clean.py") == []
 
 
 def test_allow_units_group_suppresses_all_unit_rules():
-    findings = _unit_engine().check_file(
+    findings = _unit_findings(
         FIXTURES / "fixture_unit_suppressed.py")
     assert findings == []
 
 
 def test_units_module_itself_is_exempt():
     # repro/units.py is the one place allowed to hold raw factors.
-    findings = _unit_engine().check_file(PACKAGE / "units.py")
+    findings = _unit_findings(PACKAGE / "units.py")
     assert findings == []
 
 
 def test_every_unit_rule_has_a_fixture():
-    assert set(UNIT_FIXTURES.values()) == set(unit_rule_registry())
+    assert set(UNIT_FIXTURES.values()) == set(RULES)
 
 
 def test_package_is_unit_clean():
-    findings = _unit_engine().check_tree(PACKAGE)
+    findings = _unit_findings(PACKAGE)
     assert findings == [], [str(f) for f in findings]
 
 
