@@ -106,14 +106,13 @@ RULES = {
 }
 
 #: Functions whose results :class:`~repro.sim.cache.ResultCache` stores:
-#: the roots of the cache-soundness contract.  ``_run_config`` is the
-#: literal cached unit of work; the model's constructor and ``run`` are
-#: listed explicitly so the contract holds even when the serial
-#: ``sweep.load_sweep`` path (which bypasses ``_run_config``) is cached.
+#: the roots of the cache-soundness contract.  ``run_many`` is the only
+#: caller that writes the cache, and ``_run_config`` is its unit of work;
+#: ``sweep.load_sweep`` and every ``sweep.find_max_sustainable`` probe
+#: reach the cache only through ``run_many``.  The model's constructor
+#: and ``run`` are reached from ``_run_config``.
 CACHED_ENTRY_POINTS = (
     "repro.sim.parallel._run_config",
-    "repro.sim.model.SwiftSimModel.__init__",
-    "repro.sim.model.SwiftSimModel.run",
 )
 
 #: Modules whose public (non-underscore) top-level functions are

@@ -356,9 +356,8 @@ class Resource:
         event), so an uncontended unobserved hold costs one calendar
         entry: the timeout.  ``monitor`` is an optional
         :class:`~repro.des.stats.UtilizationMonitor`, busy from the grant
-        and idle at release if nobody is queued.  No ``finally``: a hold
-        must not be interrupted, and a dead run's suspended hold is
-        garbage-collected without touching the resource.
+        and idle at release if nobody is queued.  A hold must not be
+        interrupted: nothing gives the server back if it is.
         """
         request = None if self.try_acquire() else self.request(priority)
         if request is not None:
@@ -372,18 +371,6 @@ class Resource:
             self.release_slot()
         else:
             self.release_quiet(request)
-
-    def reset(self) -> None:
-        """Forget every holder and waiter (warm-start).
-
-        Restores the freshly constructed state — including the FIFO
-        ticket counter, so a replayed scenario issues bit-identical wait
-        order.  Only valid between runs: pending requests from a dead run
-        are orphaned, not failed.
-        """
-        self.users.clear()
-        self._waiting.clear()
-        self._ticket = itertools.count()
 
     # -- internals ------------------------------------------------------------
 

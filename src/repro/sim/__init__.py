@@ -13,11 +13,7 @@ from .figures import (
 )
 from .cache import ResultCache, code_version, config_key
 from .model import SimResult, SwiftSimModel
-from .parallel import (
-    find_max_sustainable_many,
-    parallel_load_sweep,
-    run_many,
-)
+from .parallel import find_max_sustainable_many, run_many
 from .sweep import find_max_sustainable, load_sweep, run_once
 from .trace import (
     TraceRecord,
@@ -39,7 +35,6 @@ __all__ = [
     "load_sweep",
     "find_max_sustainable",
     "run_many",
-    "parallel_load_sweep",
     "find_max_sustainable_many",
     "ResultCache",
     "config_key",

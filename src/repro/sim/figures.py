@@ -22,7 +22,8 @@ from typing import Sequence
 from ..simdisk import DISK_CATALOG, FIGURE_5_6_DISKS
 from ..units import s_to_ms
 from .model import SimResult
-from .sweep import find_max_sustainable, load_sweep
+from .parallel import find_max_sustainable_many
+from .sweep import load_sweep
 from .workload import SimConfig
 
 __all__ = [
@@ -148,13 +149,8 @@ def _sustainable_series(request_size: int, transfer_unit: int,
                 seed=seed,
             ))
             cells.append((disk_name, disks))
-    if workers > 1 or cache is not None:
-        from .parallel import find_max_sustainable_many
-        results = find_max_sustainable_many(bases, iterations=iterations,
-                                            workers=workers, cache=cache)
-    else:
-        results = [find_max_sustainable(base, iterations=iterations)
-                   for base in bases]
+    results = find_max_sustainable_many(bases, iterations=iterations,
+                                        workers=workers, cache=cache)
     return [
         FigurePoint(series=disk_name, x=disks,
                     y=result.client_data_rate, result=result)

@@ -83,6 +83,9 @@ class SwiftSimModel:
     def __init__(self, config: SimConfig, storage_factory=None,
                  trace=None, cohort_dispatch: bool = True):
         self.config = config
+        #: Build options :meth:`warm_reset` rebuilds with.
+        self._options = dict(storage_factory=storage_factory,
+                             cohort_dispatch=cohort_dispatch)
         self.env = Environment(tie_break_seed=config.tie_break_seed,
                                cohort_dispatch=cohort_dispatch)
         self.streams = StreamFactory(config.seed)
@@ -118,52 +121,17 @@ class SwiftSimModel:
         self._deadline_total = 0
         self._completion_samples: list[float] = []
 
-    # -- warm-start -------------------------------------------------------------
-
     def warm_reset(self, config: SimConfig) -> "SwiftSimModel":
-        """Re-arm the built deployment for a fresh run under ``config``.
+        """Rebuild this model in place for a fresh run under ``config``.
 
-        Only valid when ``config`` shares this model's deployment digest
-        (:func:`repro.sim.cache.deployment_key`): same disk fleet, hosts,
-        ring and master seed, so that rebuilding from scratch would
-        produce an identical object graph.  Engine clock and calendar,
-        resource queues, utilization windows, random streams and all
-        counters are rewound in place — every object identity survives —
-        and ``run()`` then reproduces the cold-built result byte for
-        byte (pinned by tests/sim/test_warm_start.py).  Trace replays
-        are not supported (they are never cached or warm-started).
-
-        Storage devices supplied by a ``storage_factory`` must implement
-        the Disk duck-type's ``reset()``; the sweep entry points only
-        enable warm-start for plain runs, matching the cache contract.
+        The same storage factory and dispatch mode are kept, so ``run()``
+        returns what a cold ``SwiftSimModel`` would.  Trace replays are
+        not supported.  Kept for callers that re-arm a model by name
+        (``perfbench/spans.py`` times it as a model build).
         """
         if self.trace is not None:
             raise RuntimeError("trace replays cannot be warm-started")
-        self.config = config
-        # A horizon-stopped run leaves suspended process generators
-        # behind.  None of the request path's generators has a `with`
-        # block or a `finally` clause, so whenever the collector reaps
-        # them it runs nothing against these components (pinned by
-        # tests/sim/test_warm_start.py).
-        self.env.reset()
-        self.env.tie_break_seed = config.tie_break_seed
-        self.streams.reset()
-        self.ring.reset()
-        for client in self.clients:
-            client.reset()
-        for host, disk in self.agents:
-            host.reset()
-            disk.reset()
-        self._completions.reset()
-        self._completed = 0
-        self._started = 0
-        self._bytes_delivered = 0
-        self._next_start_agent = 0
-        self._window_start = None
-        self._window_end = 0.0
-        self._deadline_misses = 0
-        self._deadline_total = 0
-        self._completion_samples.clear()
+        self.__init__(config, **self._options)
         return self
 
     # -- running ---------------------------------------------------------------

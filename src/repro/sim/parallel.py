@@ -15,15 +15,16 @@ pool at all, which keeps single-core containers and nested-process-averse
 environments on the exact code path they had before.
 
 An optional :class:`~repro.sim.cache.ResultCache` short-circuits runs
-whose ``(config, code-version)`` key already has a stored result.  The
-cache is only consulted for plain runs — a ``storage_factory`` or
-``trace`` changes the model in ways the key cannot see, so those runs
-always execute (and are never stored).
+whose ``(config, code-version)`` key already has a stored result.
+:func:`run_many` is the one place that reads and writes it: load sweeps
+and every probe of the sustainable-load search go through it.  The cache
+is only consulted for plain runs — a ``storage_factory`` or ``trace``
+changes the model in ways the key cannot see, so those runs always
+execute (and are never stored).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 from pathlib import Path
 from typing import Optional, Sequence
@@ -32,7 +33,7 @@ from .cache import ResultCache, config_key
 from .model import SimResult, SwiftSimModel
 from .workload import SimConfig
 
-__all__ = ["run_many", "parallel_load_sweep", "find_max_sustainable_many"]
+__all__ = ["run_many", "find_max_sustainable_many"]
 
 
 def _pool_context():
@@ -59,51 +60,33 @@ def run_many(configs: Sequence[SimConfig],
     returning.  Output order always matches ``configs``.
     """
     configs = list(configs)
-    results: list[Optional[SimResult]] = [None] * len(configs)
-    misses: list[int] = []
-    keys: dict[int, str] = {}
-    for index, config in enumerate(configs):
+    if cache is None:
+        keys = []
+        results: list[Optional[SimResult]] = [None] * len(configs)
+    else:
+        keys = [config_key(config) for config in configs]
+        results = [cache.get(key) for key in keys]
+    misses = [index for index, result in enumerate(results) if result is None]
+    miss_configs = [configs[index] for index in misses]
+    if workers <= 1 or len(misses) <= 1:
+        computed = [_run_config(config) for config in miss_configs]
+    else:
+        with _pool_context().Pool(min(workers, len(misses))) as pool:
+            computed = pool.map(_run_config, miss_configs)
+    for index, result in zip(misses, computed):
+        results[index] = result
         if cache is not None:
-            key = config_key(config)
-            keys[index] = key
-            cached = cache.get(key)
-            if cached is not None:
-                results[index] = cached
-                continue
-        misses.append(index)
-
-    if misses:
-        miss_configs = [configs[index] for index in misses]
-        if workers <= 1 or len(misses) == 1:
-            computed = [_run_config(config) for config in miss_configs]
-        else:
-            context = _pool_context()
-            with context.Pool(min(workers, len(misses))) as pool:
-                computed = pool.map(_run_config, miss_configs)
-        for index, result in zip(misses, computed):
-            results[index] = result
-            if cache is not None:
-                cache.put(keys[index], result)
+            cache.put(keys[index], result)
     return results  # type: ignore[return-value]
-
-
-def parallel_load_sweep(base: SimConfig,
-                        arrival_rates: Sequence[float],
-                        workers: int = 1,
-                        cache: Optional[ResultCache] = None
-                        ) -> list[SimResult]:
-    """The :func:`~repro.sim.sweep.load_sweep` grid, fanned out."""
-    configs = [dataclasses.replace(base, arrival_rate=rate)
-               for rate in arrival_rates]
-    return run_many(configs, workers=workers, cache=cache)
 
 
 def _run_max_sustainable(task) -> SimResult:
     """Worker body for one full bisection (picklable by name).
 
     ``task`` is ``(base, rate_low, rate_high, iterations, cache_root)``;
-    the cache is reopened by path because ResultCache holds no picklable
-    state worth shipping — the directory *is* the cache.
+    the worker reopens the cache by path — the directory *is* the cache
+    — so entries it stores are shared, but its hit and miss counters
+    stay in the worker process.
     """
     from .sweep import find_max_sustainable
     base, rate_low, rate_high, iterations, cache_root = task
@@ -125,14 +108,20 @@ def find_max_sustainable_many(bases: Sequence[SimConfig],
     The bisection itself is inherently sequential (each probe rate depends
     on the previous verdict), so parallelism comes from fanning out the
     *independent* searches — one per figure-grid cell — across workers.
-    Results keep the order of ``bases``.
+    Results keep the order of ``bases``.  Serial searches (``workers <=
+    1`` or one base) use ``cache`` itself, so its ``hits``/``misses``
+    count every probe; pool workers reopen it by path and keep their
+    counts (see :func:`_run_max_sustainable`).
     """
+    from .sweep import find_max_sustainable
     bases = list(bases)
+    if workers <= 1 or len(bases) == 1:
+        return [find_max_sustainable(base, rate_low=rate_low,
+                                     rate_high=rate_high,
+                                     iterations=iterations, cache=cache)
+                for base in bases]
     cache_root: Optional[Path] = cache.root if cache is not None else None
     tasks = [(base, rate_low, rate_high, iterations, cache_root)
              for base in bases]
-    if workers <= 1 or len(tasks) == 1:
-        return [_run_max_sustainable(task) for task in tasks]
-    context = _pool_context()
-    with context.Pool(min(workers, len(tasks))) as pool:
+    with _pool_context().Pool(min(workers, len(tasks))) as pool:
         return pool.map(_run_max_sustainable, tasks)

@@ -48,17 +48,6 @@ class Disk:
         #: (None = unknown position, e.g. after an unaddressed access).
         self._head: Optional[int] = None
 
-    def reset(self) -> None:
-        """Forget run state (warm-start): spindle queue, utilization
-        window, counters and head position.  The spec and the stream
-        *binding* survive; the caller reseeds the streams themselves
-        (see :meth:`repro.des.random_streams.StreamFactory.reset`)."""
-        self.resource.reset()
-        self.monitor.clear()
-        self.blocks_served = 0
-        self.bytes_served = 0
-        self._head = None
-
     # -- service time draws ----------------------------------------------------
 
     def draw_positioning_time(self) -> float:

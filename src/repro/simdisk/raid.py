@@ -56,14 +56,6 @@ class RaidArray:
 
     # -- Disk duck-type -----------------------------------------------------------
 
-    def reset(self) -> None:
-        """Forget run state (warm-start): controller queue, utilization
-        window and counters — the array half of the Disk duck-type."""
-        self.resource.reset()
-        self.monitor.clear()
-        self.blocks_served = 0
-        self.bytes_served = 0
-
     def draw_positioning_time(self) -> float:
         """Member positioning (seek + rotation), random if seeded."""
         spec = self.member_spec

@@ -89,20 +89,6 @@ class Host:
         self._sockets: dict[int, DatagramSocket] = {}
         self._next_ephemeral_port = 32768
 
-    def reset(self) -> None:
-        """Forget run state (warm-start): the CPU queue.
-
-        Interfaces, sockets and the OS-noise speed factor are deployment
-        state and survive.  Hosts with attached interfaces cannot be
-        warm-started (their transmitter processes died with the old
-        engine run); the §5 simulation model uses bare hosts.
-        """
-        if self.interfaces:
-            raise RuntimeError(
-                f"host {self.name!r} has attached interfaces and cannot "
-                "be warm-started")
-        self.cpu.reset()
-
     def jittered(self, cost_s: float) -> float:
         """Apply the host's OS-noise jitter to a CPU cost."""
         if not self.noise_fraction:

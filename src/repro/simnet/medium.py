@@ -51,15 +51,6 @@ class Medium:
         #: itself).
         self._active_by_host: dict[str, int] = {}
 
-    def reset(self) -> None:
-        """Forget all traffic state (warm-start): cable queue, utilization
-        window, counters and contention tracking.  Attached interfaces
-        survive — attachment is deployment, not run state."""
-        self.cable.reset()
-        self.monitor.clear()
-        self.stats = MediumStats()
-        self._active_by_host.clear()
-
     # -- attachment -----------------------------------------------------------
 
     def attach(self, interface: "Interface") -> None:

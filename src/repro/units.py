@@ -23,8 +23,6 @@ Conventions, repo-wide:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 __all__ = [
     "BITS_PER_BYTE",
     "KIB",
@@ -35,7 +33,6 @@ __all__ = [
     "GB",
     "MS_PER_S",
     "US_PER_S",
-    "Quantity",
     "ms",
     "us",
     "s_to_ms",
@@ -143,70 +140,3 @@ def seconds_to_send(nbytes: float, bits_per_s: float) -> float:
     if bits_per_s <= 0:
         raise ValueError("bits_per_s must be positive")
     return to_bits(nbytes) / bits_per_s
-
-
-# -- typed quantities ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """A value tagged with its unit, with dimension-checked arithmetic.
-
-    For code that is not on a hot path (calibration tables, report
-    generation, tests), a ``Quantity`` makes unit errors impossible
-    instead of merely lintable: adding ``Quantity(16, "ms")`` to
-    ``Quantity(1, "s")`` raises instead of silently producing 17.
-    Scaling by a bare number is allowed; ``float()`` unwraps.
-    """
-
-    value: float
-    unit: str
-
-    def _require_same(self, other: "Quantity", op: str) -> None:
-        if not isinstance(other, Quantity):
-            raise TypeError(
-                f"cannot {op} {self.unit!r} quantity and bare {other!r}; "
-                "wrap the operand in a Quantity or convert explicitly")
-        if other.unit != self.unit:
-            raise ValueError(
-                f"cannot {op} mismatched units {self.unit!r} and "
-                f"{other.unit!r}; convert through repro.units first")
-
-    def __add__(self, other: "Quantity") -> "Quantity":
-        self._require_same(other, "add")
-        return Quantity(self.value + other.value, self.unit)
-
-    def __sub__(self, other: "Quantity") -> "Quantity":
-        self._require_same(other, "subtract")
-        return Quantity(self.value - other.value, self.unit)
-
-    def __mul__(self, scalar: float) -> "Quantity":
-        if isinstance(scalar, Quantity):
-            raise TypeError("multiplying two Quantities needs an explicit "
-                            "unit; use .value and a repro.units converter")
-        return Quantity(self.value * scalar, self.unit)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Quantity):
-            if other.unit != self.unit:
-                raise ValueError(
-                    f"dividing {self.unit!r} by {other.unit!r} needs an "
-                    "explicit conversion through repro.units")
-            return self.value / other.value  # same unit: a pure ratio
-        return Quantity(self.value / other, self.unit)
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-    def __lt__(self, other: "Quantity") -> bool:
-        self._require_same(other, "compare")
-        return self.value < other.value
-
-    def __le__(self, other: "Quantity") -> bool:
-        self._require_same(other, "compare")
-        return self.value <= other.value
-
-    def __repr__(self) -> str:
-        return f"Quantity({self.value!r}, {self.unit!r})"

@@ -108,8 +108,7 @@ def test_package_entry_discovery_finds_declared_and_syntactic_entries(
         package_program):
     program = package_program
     entries = _discover_entries(program)
-    assert "repro.sim.parallel._run_config" in entries["cached"]
-    assert "repro.sim.model.SwiftSimModel.run" in entries["cached"]
+    assert entries["cached"] == ["repro.sim.parallel._run_config"]
     # Workers discovered syntactically from the pool.map dispatch sites.
     assert "repro.sim.parallel._run_config" in entries["worker"]
     assert "repro.sim.parallel._run_max_sustainable" in entries["worker"]
@@ -120,7 +119,9 @@ def test_cached_reachability_covers_the_model_internals(package_program):
     program = package_program
     entries = _discover_entries(program)
     reachable = _reachable(program, entries["cached"])
-    for expected in ("repro.sim.model.SwiftSimModel._generator",
+    for expected in ("repro.sim.model.SwiftSimModel.__init__",
+                     "repro.sim.model.SwiftSimModel.run",
+                     "repro.sim.model.SwiftSimModel._generator",
                      "repro.sim.model.SwiftSimModel._request",
                      "repro.simdisk.disk.Disk.__init__"):
         assert expected in reachable, expected

@@ -324,21 +324,6 @@ def test_schedule_monitor_spills_pending_cohort():
     assert order == [[0, 1, 2, 3]]
 
 
-def test_cohort_reset_clears_ready_deque():
-    env = Environment()
-
-    def fanout(env):
-        event = env.event()
-        event.succeed("x")
-        assert env._ready
-        yield env.timeout(0)
-
-    env.process(fanout(env))
-    env.step()
-    env.reset()
-    assert not env._ready and not env._queue and env.now == 0.0
-
-
 def test_timeout_at_lands_on_exact_accumulated_float():
     env = Environment()
     steps = [0.1, 0.2, 0.30000000000000004, 0.7]

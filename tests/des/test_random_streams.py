@@ -1,8 +1,10 @@
 """Seeded random stream behaviour."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.des import RandomStream, StreamFactory
 
@@ -98,28 +100,21 @@ def test_shuffled_preserves_multiset():
     assert items == list(range(20))  # original untouched
 
 
-# -- block sampling -----------------------------------------------------------
+# -- the random.Random reference ----------------------------------------------
 #
-# The float distributions serve from a buffered block of raw uniforms
-# (see the module docstring of repro.des.random_streams).  The contract:
-# the draw sequence is bit-identical to the per-sample random.Random
-# reference, for every distribution, at every block size — including the
-# refill-boundary sizes 1, block-1, block and block+1 — and mixing in a
-# getrandbits-based method degrades the stream to exactly the state a
-# per-sample run would occupy.
-
-import random
-
-from repro.des.random_streams import DEFAULT_BLOCK_SIZE
-
-BOUNDARY_SIZES = [1, DEFAULT_BLOCK_SIZE - 1, DEFAULT_BLOCK_SIZE,
-                  DEFAULT_BLOCK_SIZE + 1]
+# Each distribution is one random.Random call on the stream's own core, so
+# a stream and a random.Random with the same seed agree draw for draw,
+# whatever the mix of methods.
 
 REFERENCE_DRAWS = {
     "exponential": lambda rng: rng.expovariate(1.0 / 3.0),
     "uniform": lambda rng: rng.uniform(2.0, 5.0),
     "uniform_mean": lambda rng: rng.uniform(0.0, 2.0 * 4.5),
     "bernoulli": lambda rng: rng.random() < 0.3,
+    "choice": lambda rng: rng.choice(range(1000)),
+    "randint": lambda rng: rng.randint(0, 10**9),
+    "shuffled": lambda rng: (lambda items: (rng.shuffle(items), items)[1])(
+        list(range(30))),
 }
 
 STREAM_DRAWS = {
@@ -127,43 +122,71 @@ STREAM_DRAWS = {
     "uniform": lambda s: s.uniform(2.0, 5.0),
     "uniform_mean": lambda s: s.uniform_mean(4.5),
     "bernoulli": lambda s: s.bernoulli(0.3),
+    "choice": lambda s: s.choice(range(1000)),
+    "randint": lambda s: s.randint(0, 10**9),
+    "shuffled": lambda s: s.shuffled(range(30)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(STREAM_DRAWS))
-@pytest.mark.parametrize("block_size", BOUNDARY_SIZES)
-def test_block_sampling_matches_per_sample_reference(name, block_size):
-    count = 2 * DEFAULT_BLOCK_SIZE + 3  # always crosses a refill boundary
-    stream = RandomStream(1234, block_size=block_size)
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1),
+       names=st.lists(st.sampled_from(sorted(STREAM_DRAWS)), max_size=300))
+def test_stream_matches_random_reference(seed, names):
+    stream = RandomStream(seed)
+    reference = random.Random(seed)
+    assert [STREAM_DRAWS[name](stream) for name in names] == \
+           [REFERENCE_DRAWS[name](reference) for name in names]
+
+
+def test_observer_fires_once_per_draw():
+    stream = RandomStream(8)
+    seen = []
+    stream.observer = seen.append
+    for name in sorted(STREAM_DRAWS):
+        STREAM_DRAWS[name](stream)
+    assert seen == [stream] * len(STREAM_DRAWS)
+
+
+# -- fixed sequences against the reference ------------------------------------
+#
+# Deterministic companions to the property above: runs of the float
+# distributions at lengths around 256 draws (1, 255, 256, 257), mixed
+# float runs, and integer draws after any number of float draws.
+
+FLOAT_DRAWS = ("bernoulli", "exponential", "uniform", "uniform_mean")
+RUN_LENGTHS = [1, 255, 256, 257]
+
+
+@pytest.mark.parametrize("name", FLOAT_DRAWS)
+@pytest.mark.parametrize("count", RUN_LENGTHS)
+def test_block_sampling_matches_per_sample_reference(name, count):
+    stream = RandomStream(1234)
     reference = random.Random(1234)
     draw, ref = STREAM_DRAWS[name], REFERENCE_DRAWS[name]
     assert [draw(stream) for _ in range(count)] == \
            [ref(reference) for _ in range(count)]
 
 
-@pytest.mark.parametrize("block_size", BOUNDARY_SIZES)
-def test_mixed_float_sequence_matches_reference(block_size):
-    stream = RandomStream(77, block_size=block_size)
+@pytest.mark.parametrize("count", RUN_LENGTHS)
+def test_mixed_float_sequence_matches_reference(count):
+    stream = RandomStream(77)
     reference = random.Random(77)
-    names = sorted(STREAM_DRAWS)
-    count = 3 * DEFAULT_BLOCK_SIZE + 1
-    got = [STREAM_DRAWS[names[i % 4]](stream) for i in range(count)]
-    want = [REFERENCE_DRAWS[names[i % 4]](reference) for i in range(count)]
+    got = [STREAM_DRAWS[FLOAT_DRAWS[i % 4]](stream) for i in range(count)]
+    want = [REFERENCE_DRAWS[FLOAT_DRAWS[i % 4]](reference)
+            for i in range(count)]
     assert got == want
 
 
-@pytest.mark.parametrize("floats_before", [0, 1, 10, DEFAULT_BLOCK_SIZE,
-                                           DEFAULT_BLOCK_SIZE + 5])
+@pytest.mark.parametrize("floats_before", [0, 1, 10, 256, 261])
 def test_degrade_replays_exactly_the_served_draws(floats_before):
-    # After any number of buffered float draws, a getrandbits-based call
-    # must see the core exactly where a per-sample run would have it —
-    # the unserved read-ahead is discarded, the served draws are replayed.
-    stream = RandomStream(9, block_size=DEFAULT_BLOCK_SIZE)
+    # After any number of float draws, a getrandbits-based call must see
+    # the core exactly where the reference has it, and every later draw,
+    # floats included, keeps matching.
+    stream = RandomStream(9)
     reference = random.Random(9)
     for _ in range(floats_before):
         assert stream.exponential(2.0) == reference.expovariate(0.5)
     assert stream.randint(0, 10**9) == reference.randint(0, 10**9)
-    # Degraded mode keeps matching, floats included.
     assert stream.choice(range(1000)) == reference.choice(range(1000))
     assert [stream.uniform(0, 1) for _ in range(10)] == \
            [reference.uniform(0, 1) for _ in range(10)]
@@ -178,48 +201,6 @@ def test_degraded_stream_stays_degraded():
     reference = random.Random(5)
     reference.expovariate(1.0)
     reference.randint(0, 3)
-    # No buffering after degrade: long float runs still match per-sample.
+    # Long float runs after an integer draw still match the reference.
     assert [stream.exponential(1.0) for _ in range(600)] == \
            [reference.expovariate(1.0) for _ in range(600)]
-
-
-def test_reset_restores_initial_sequence_and_buffering():
-    stream = RandomStream(21)
-    first = [stream.exponential(1.0) for _ in range(5)]
-    stream.randint(0, 100)  # degrade
-    stream.reset()
-    assert [stream.exponential(1.0) for _ in range(5)] == first
-    # reset() re-enables read-ahead (pops come from a refilled block).
-    assert stream._block, "reset stream should buffer again"
-
-
-def test_factory_reset_reproduces_fresh_factory():
-    factory = StreamFactory(99)
-    stream = factory.stream("net")
-    [stream.exponential(1.0) for _ in range(700)]
-    factory.stream("disk").randint(0, 9)
-    factory.reset()
-    fresh = StreamFactory(99)
-    assert [factory.stream("net").uniform(0, 1) for _ in range(5)] == \
-           [fresh.stream("net").uniform(0, 1) for _ in range(5)]
-    assert [factory.stream("disk").randint(0, 9) for _ in range(5)] == \
-           [fresh.stream("disk").randint(0, 9) for _ in range(5)]
-
-
-def test_factory_propagates_block_size():
-    factory = StreamFactory(1, block_size=3)
-    assert factory.stream("x")._block_size == 3
-
-
-def test_block_size_must_be_positive():
-    with pytest.raises(ValueError):
-        RandomStream(0, block_size=0)
-
-
-def test_observer_fires_per_draw_not_per_refill():
-    stream = RandomStream(8, block_size=4)
-    seen = []
-    stream.observer = seen.append
-    for _ in range(10):
-        stream.uniform_mean(1.0)
-    assert seen == [stream] * 10

@@ -185,3 +185,15 @@ def test_histogram_quantile_bounds_property(values):
     assert histogram.quantile(0.0) == min(values)
     assert histogram.quantile(1.0) == max(values)
     assert min(values) <= histogram.p50() <= max(values)
+
+
+
+def test_histogram_extend_notifies_observer_per_value():
+    # Like add(), and like OnlineStats.extend: a watcher sees every write.
+    from repro.des import Histogram
+    histogram = Histogram()
+    seen = []
+    histogram.observer = seen.append
+    histogram.extend([1.0, 2.0, 3.0])
+    assert seen == [histogram] * 3
+    assert histogram.p50() == 2.0

@@ -20,6 +20,10 @@ land on the same record:
   completion: every process finishes through a calendar event;
 * ``one-heap`` — ``cohort_dispatch=False``, the reference scheduler.
 
+The whole grid also goes through one parallel, cached
+:func:`~repro.sim.parallel.run_many` and is then replayed from that
+cache; both passes must land on the records too.
+
 Regenerate (only for a deliberate model change) with::
 
     PYTHONPATH=src python tests/sim/test_golden_results.py
@@ -34,7 +38,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.sim.cache import ResultCache
 from repro.sim.model import SwiftSimModel
+from repro.sim.parallel import run_many
 from repro.sim.workload import SimConfig
 from repro.simdisk import DISK_CATALOG
 
@@ -138,6 +144,19 @@ def test_result_matches_golden(golden, name, path):
     result = _run(config, path)
     assert result.config == config
     assert _fields(result) == golden[name]["result"]
+
+
+def test_parallel_and_cached_runs_match_golden(golden, tmp_path):
+    configs = [_config(overrides) for overrides in CASES.values()]
+    expected = [golden[name]["result"] for name in CASES]
+    cache = ResultCache(tmp_path)
+    computed = run_many(configs, workers=2, cache=cache)
+    assert (cache.hits, cache.misses) == (0, len(configs))
+    replayed = run_many(configs, workers=2, cache=cache)
+    assert cache.hits == len(configs)
+    for results in (computed, replayed):
+        assert [result.config for result in results] == configs
+        assert [_fields(result) for result in results] == expected
 
 
 def main() -> None:

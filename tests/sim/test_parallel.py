@@ -20,7 +20,6 @@ from repro.sim import (
     find_max_sustainable,
     find_max_sustainable_many,
     load_sweep,
-    parallel_load_sweep,
     run_many,
 )
 from repro.sim.cache import result_from_jsonable, result_to_jsonable
@@ -55,8 +54,8 @@ def test_run_many_preserves_input_order():
     assert [r.config for r in results] == configs
 
 
-def test_parallel_load_sweep_sets_rates_in_order():
-    results = parallel_load_sweep(_small(), RATES, workers=2)
+def test_load_sweep_sets_rates_in_order():
+    results = load_sweep(_small(), RATES, workers=2)
     assert [r.config.arrival_rate for r in results] == list(RATES)
 
 
@@ -94,6 +93,33 @@ def test_cached_bisection_replays_probes(tmp_path):
     warm = find_max_sustainable(base, iterations=3, cache=cache)
     assert warm == cold
     assert cache.hits == probes, "warm bisection should replay every probe"
+
+
+def test_serial_searches_count_on_the_callers_cache(tmp_path):
+    # In-process searches must hit and miss on the caller's object, not
+    # on a second ResultCache reopened over the same directory.
+    base = _small()
+    cache = ResultCache(tmp_path)
+    first = find_max_sustainable_many([base], iterations=3, cache=cache)
+    probes = len(cache)
+    assert probes > 0
+    assert (cache.hits, cache.misses) == (0, probes)
+    again = find_max_sustainable_many([base], iterations=3, cache=cache)
+    assert again == first
+    assert (cache.hits, cache.misses) == (probes, probes)
+
+
+def test_figure5_series_counts_on_the_callers_cache(tmp_path):
+    from repro.sim import figure5_series
+
+    cache = ResultCache(tmp_path)
+    kwargs = dict(disk_counts=(1,), disk_names=("Fujitsu M2372K",),
+                  num_requests=20, iterations=2, cache=cache)
+    first = figure5_series(**kwargs)
+    entries = len(cache)
+    assert cache.misses == entries > 0 and cache.hits == 0
+    assert figure5_series(**kwargs) == first
+    assert cache.hits == entries
 
 
 def test_corrupt_cache_entry_is_a_miss_not_an_error(tmp_path):
