@@ -47,16 +47,18 @@ bench-full:
 
 # CI perf gate: kernel events/sec, the batched-vs-unbatched cohort A/B
 # (bit-identity asserted), the §5 model's events per run, events/sec and
-# golden results, and a 2-worker mini-sweep; then fail on a >20%
-# throughput regression vs benchmarks/baselines/, a detector or sanitizer
-# overhead ceiling, a bit-identity or golden-result mismatch, or model
-# events per run above the committed callback-mode counts (thresholds in
-# benchmarks/baselines/thresholds.json).
+# golden results, a 2-worker mini-sweep and the sustainable-load search's
+# probes per point; then fail on a >20% throughput regression vs
+# benchmarks/baselines/, a detector or sanitizer overhead ceiling, a
+# bit-identity or golden-result mismatch, model events per run above the
+# committed callback-mode counts, or search probes per point above the
+# committed count (thresholds in benchmarks/baselines/thresholds.json).
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_kernel_events.py --benchmark-only
 	$(PYTHON) -m pytest benchmarks/bench_kernel_batched.py --benchmark-only
 	$(PYTHON) -m pytest benchmarks/bench_model_events.py --benchmark-only
 	REPRO_BENCH_WORKERS=2 $(PYTHON) -m pytest benchmarks/bench_sweep_parallel.py --benchmark-only
+	$(PYTHON) -m pytest benchmarks/bench_sweep_search.py --benchmark-only
 	$(PYTHON) benchmarks/check_regression.py
 	$(PYTHON) benchmarks/profile_kernel.py
 

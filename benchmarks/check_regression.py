@@ -49,6 +49,12 @@ replaced, and must keep holding:
 * ``fig5_events_per_sec`` more than the threshold below the committed
   ``fig5_callback_events_per_sec`` fails.
 
+The sustainable-load search is gated through ``BENCH_sweep_search.json``
+when a fresh one exists: its ``probes_per_point`` on the quick Figure 5
+grid may not exceed the committed
+``baselines/BENCH_sweep_search.json`` value.  Probe counts are
+deterministic, so this bound is exact, like the event ceilings.
+
 Thresholds live in ``benchmarks/baselines/thresholds.json`` — committed
 next to the baselines they guard, so tolerance changes are reviewed
 like re-baselines.  Command-line flags override individual values.
@@ -75,6 +81,8 @@ BATCHED_BASELINE = BENCH_DIR / "baselines" / "BENCH_kernel_batched.json"
 BATCHED_FRESH = BENCH_DIR / "results" / "BENCH_kernel_batched.json"
 MODEL_BASELINE = BENCH_DIR / "baselines" / "BENCH_process_modes.json"
 MODEL_FRESH = BENCH_DIR / "results" / "BENCH_model_events.json"
+SEARCH_BASELINE = BENCH_DIR / "baselines" / "BENCH_sweep_search.json"
+SEARCH_FRESH = BENCH_DIR / "results" / "BENCH_sweep_search.json"
 THRESHOLDS = BENCH_DIR / "baselines" / "thresholds.json"
 
 #: Built-in fallbacks, used only if thresholds.json is absent.
@@ -105,6 +113,9 @@ BATCHED_METRIC = "batched_events_per_sec"
 MODEL_EVENT_CEILINGS = {"fig3_events": "fig3_callback_events",
                         "fig5_events": "fig5_callback_events"}
 MODEL_RATE_METRIC = ("fig5_events_per_sec", "fig5_callback_events_per_sec")
+
+#: Search gate: model runs per figure point may not rise.
+SEARCH_METRIC = "probes_per_point"
 
 
 def load_thresholds(path: Path) -> dict:
@@ -150,6 +161,9 @@ def main(argv=None) -> int:
     parser.add_argument("--model-baseline", type=Path,
                         default=MODEL_BASELINE)
     parser.add_argument("--model-fresh", type=Path, default=MODEL_FRESH)
+    parser.add_argument("--search-baseline", type=Path,
+                        default=SEARCH_BASELINE)
+    parser.add_argument("--search-fresh", type=Path, default=SEARCH_FRESH)
     options = parser.parse_args(argv)
 
     committed = load_thresholds(options.thresholds)
@@ -274,6 +288,20 @@ def main(argv=None) -> int:
                       f"(> {options.threshold * 100:.0f}% allowed).",
                       file=sys.stderr)
                 return 1
+
+    if options.search_fresh.exists() and options.search_baseline.exists():
+        measured = json.loads(options.search_fresh.read_text())[SEARCH_METRIC]
+        ceiling = json.loads(
+            options.search_baseline.read_text())[SEARCH_METRIC]
+        print(f"regression gate: {SEARCH_METRIC} {measured:.2f} "
+              f"(ceiling {ceiling:.2f}, committed)")
+        if measured > ceiling:
+            print(f"regression gate: FAIL — the sustainable-load search "
+                  f"needs {measured:.2f} model runs per point, more than "
+                  f"the committed {ceiling:.2f}.  Probe counts are "
+                  "deterministic; see docs/PERFORMANCE.md.",
+                  file=sys.stderr)
+            return 1
 
     if options.sweep_fresh.exists():
         sweep = json.loads(options.sweep_fresh.read_text())

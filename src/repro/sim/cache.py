@@ -1,7 +1,7 @@
 """Result caching for simulation sweeps: content-addressed SimResults.
 
 Sweeps and figure series re-run identical configurations constantly —
-bisection probes revisit rates, figure grids share baselines, and repeated
+a re-run search replays its probes, figure grids share baselines, and repeated
 benchmark invocations redo the whole grid.  Every run is a pure function of
 ``(SimConfig, code version)``: the model draws all randomness from a
 :class:`~repro.des.random_streams.StreamFactory` seeded by ``config.seed``,

@@ -81,7 +81,7 @@ def run_many(configs: Sequence[SimConfig],
 
 
 def _run_max_sustainable(task) -> SimResult:
-    """Worker body for one full bisection (picklable by name).
+    """Worker body for one full search (picklable by name).
 
     ``task`` is ``(base, rate_low, rate_high, iterations, cache_root)``;
     the worker reopens the cache by path — the directory *is* the cache
@@ -105,7 +105,7 @@ def find_max_sustainable_many(bases: Sequence[SimConfig],
                               ) -> list[SimResult]:
     """§5.2 maximum-sustainable-load search over many base configs.
 
-    The bisection itself is inherently sequential (each probe rate depends
+    The search itself is inherently sequential (each probe rate depends
     on the previous verdict), so parallelism comes from fanning out the
     *independent* searches — one per figure-grid cell — across workers.
     Results keep the order of ``bases``.  Serial searches (``workers <=

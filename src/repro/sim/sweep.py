@@ -3,17 +3,20 @@
 Figures 3 and 4 plot mean time-to-complete against the request arrival
 rate; Figures 5 and 6 plot, per disk count and disk model, "the data-rate
 observed by the client when the average time to complete a request is the
-same as the average time between requests" (§5.2) — found here by bisection
-on the arrival rate.
+same as the average time between requests" (§5.2) — found here by a
+bracketed root search on the arrival rate, starting from the
+utilization-law ceiling of :mod:`repro.sim.validation`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Sequence
 
 from .model import SimResult, SwiftSimModel
 from .parallel import run_many
+from .validation import sustainable_rate_bound
 from .workload import SimConfig
 
 __all__ = ["run_once", "load_sweep", "find_max_sustainable"]
@@ -55,54 +58,97 @@ def find_max_sustainable(base: SimConfig,
                          iterations: int = 10,
                          storage_factory=None,
                          cache=None) -> SimResult:
-    """Bisect for the §5.2 maximum-sustainable-load point.
+    """Search for the §5.2 maximum-sustainable-load point.
 
-    Returns the result at the highest arrival rate found whose mean
-    completion time does not exceed the mean interarrival time.  The
-    search is sequential (each probe depends on the last verdict), but a
-    ``cache`` makes repeated searches resolve instantly; to parallelise
-    *across* base configs use
+    Returns the result at the highest arrival rate probed whose mean
+    completion time does not exceed the mean interarrival time.
+
+    The search brackets the boundary with the utilization-law ceiling U
+    (:func:`~repro.sim.validation.sustainable_rate_bound`): it probes
+    U/2 and U, halving the low end until it is sustainable or doubling
+    the high end until it is not.  That widening stops at ``rate_low``
+    (returned as the bound if even it is unsustainable) and ``rate_high``
+    (returned if it is sustainable); it is what covers storage whose
+    demand U does not see (a ``storage_factory`` for RAID or tape).  It
+    then narrows the bracket by Illinois false position on
+    g(rate) = rate x mean completion - 1, each probe kept inside the
+    middle 80% of the bracket, until the bracket is no wider than
+    ``low * 2**-iterations`` — the resolution of ``iterations`` bisection
+    steps from a ``[r, 2r]`` bracket, so ``iterations`` keeps the meaning
+    it had when this was a bisection.  False position gets
+    ``iterations + 2`` probes for that, and each probe is pulled towards
+    the middle just enough that bisection could still finish in the
+    probes left, so the resolution is always reached.  With the two
+    bracket probes the search never takes more probes than doubling up
+    from ``rate_low`` and bisecting would, as long as the sustainable
+    rate is at least ``4 * rate_low`` and the bracket needs no widening.
+
+    The search is sequential (each probe depends on the last verdict),
+    but a ``cache`` makes repeated searches resolve instantly; to
+    parallelise *across* base configs use
     :func:`~repro.sim.parallel.find_max_sustainable_many`.  As in
     :func:`load_sweep`, a ``storage_factory`` bypasses the cache.
     """
     if rate_low <= 0 or rate_high <= rate_low:
         raise ValueError("need 0 < rate_low < rate_high")
 
-    def sustainable(rate: float) -> tuple[bool, SimResult]:
+    def probe(rate: float) -> tuple[bool, float, SimResult]:
         config = dataclasses.replace(base, arrival_rate=rate)
         if storage_factory is None:
             [result] = run_many([config], cache=cache)
         else:
             result = run_once(config, storage_factory=storage_factory)
-        return result.sustainable, result
+        # g is +inf when nothing completed (mean completion is inf).
+        return (result.sustainable,
+                rate * result.mean_completion_s - 1.0, result)
 
-    ok_low, best = sustainable(rate_low)
-    if not ok_low:
-        # Even the lightest load is unsustainable; report it as the bound.
-        return best
-    # Exponential search for the first unsustainable rate, then bisect
-    # inside that (tight) bracket — far better resolution than bisecting
-    # the whole [rate_low, rate_high] span.
-    low, high = rate_low, None
-    rate = rate_low
-    while rate * 2.0 <= rate_high:
-        rate *= 2.0
-        ok, result = sustainable(rate)
+    bound = sustainable_rate_bound(base)
+    low = min(max(rate_low, bound / 2.0), rate_high)
+    high = min(max(rate_low, bound), rate_high)
+    ok, g_low, best = probe(low)
+    g_high = None
+    while not ok:
+        if low == rate_low:
+            # Even the lightest load is unsustainable; report it as the bound.
+            return best
+        high, g_high = low, g_low
+        low = max(low / 2.0, rate_low)
+        ok, g_low, best = probe(low)
+    while g_high is None:
+        if high <= low:
+            if low == rate_high:
+                return best
+            high = min(2.0 * low, rate_high)
+        ok, g, result = probe(high)
         if ok:
-            low, best = rate, result
+            low, g_low, best = high, g, result
         else:
-            high = rate
-            break
-    if high is None:
-        ok, result = sustainable(rate_high)
-        if ok:
-            return result
-        high = rate_high
-    for _ in range(iterations):
-        mid = (low + high) / 2.0
-        ok, result = sustainable(mid)
-        if ok:
-            low, best = mid, result
+            g_high = g
+
+    # False position may take two probes more than bisection would; each
+    # probe is kept near enough to the middle that bisection could still
+    # finish in the probes left (the projection step of the ITP method).
+    budget = iterations + 2
+    kept = None  # which end the last probe left in place
+    while high - low > low * 2.0 ** -iterations:
+        width = high - low
+        reach = low * 2.0 ** (budget - 1 - iterations)
+        if math.isinf(g_high) or g_high == g_low:
+            rate = low + width / 2.0
         else:
-            high = mid
+            rate = (low * g_high - high * g_low) / (g_high - g_low)
+            rate = min(max(rate, low + 0.1 * width), high - 0.1 * width)
+            rate = min(max(rate, high - reach), low + reach)
+        ok, g, result = probe(rate)
+        budget -= 1
+        if ok:
+            low, g_low, best = rate, g, result
+            if kept == "high":
+                g_high /= 2.0  # Illinois: the same end kept twice
+            kept = "high"
+        else:
+            high, g_high = rate, g
+            if kept == "low":
+                g_low /= 2.0
+            kept = "low"
     return best

@@ -10,7 +10,9 @@ tests compare simulation output against:
 * the zero-load completion time of a read request (disk chain + ring
   transfer + protocol processing);
 * per-disk utilization under a given arrival rate (an open-network flow
-  balance).
+  balance);
+* an upper bound on the sustainable arrival rate (the utilization law),
+  which brackets the §5.2 search in :mod:`repro.sim.sweep`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "zero_load_read_response_s",
     "disk_utilization_estimate",
     "offered_load_fraction",
+    "sustainable_rate_bound",
 ]
 
 
@@ -128,3 +131,17 @@ def offered_load_fraction(config: SimConfig) -> float:
     """Offered ring load as a fraction of its capacity."""
     bytes_per_second = config.arrival_rate * config.request_size
     return to_bits_per_s(bytes_per_second) / config.ring_bits_per_second
+
+
+def sustainable_rate_bound(config: SimConfig) -> float:
+    """Utilization-law ceiling on the §5.2 sustainable arrival rate.
+
+    U = min(1 / D_max, 1 / R0): no disk can serve more than one second of
+    work per second (D_max is one disk's service demand per request, the
+    request's blocks spread over every disk), and a request that takes
+    at least R0 to complete cannot be kept up with at more than 1 / R0
+    requests per second.  ``config.arrival_rate`` is ignored.
+    """
+    disk_demand_s = (config.total_blocks * mean_block_service_s(config)
+                     / config.num_disks)
+    return min(1.0 / disk_demand_s, 1.0 / zero_load_read_response_s(config))
